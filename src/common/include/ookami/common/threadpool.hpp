@@ -1,5 +1,5 @@
 #pragma once
-// Minimal OpenMP-style fork/join thread pool with pluggable barriers.
+// Minimal OpenMP-style fork/join thread pool.
 //
 // The NPB, LULESH and HPCC kernels in this kit are threaded the way the
 // paper's OpenMP codes are: a static, contiguous partition of the
@@ -9,45 +9,76 @@
 // does on Ookami, so the same thread must own the same slice in the
 // initialization and compute phases.
 //
-// Fork/join synchronization is a strategy (see barrier.hpp): the
-// historical condvar protocol, a sense-reversing spin barrier, or a
-// hierarchical per-CMG-group barrier — selected per pool via the
-// constructor or process-wide via OOKAMI_POOL_BARRIER.  The pool can
-// additionally be CMG-sharded (group_size > 0, or OOKAMI_POOL_GROUP_SIZE):
-// workers are partitioned into groups of consecutive thread ids
-// (matching ookami::numa compact binding, thread t -> group t/group_size)
-// and parallel_phases() runs multi-phase regions where threads meet only
-// their group-local barrier between phases — no global join until the
-// region ends.
+// Fork/join is one protocol on two futex words.  The submitter
+// publishes the region and bumps the generation word (the fork); each
+// worker counts the pending word down when its chunk is done, and the
+// submitter waits for it to reach zero (the join).  Workers do not wait
+// for each other: a worker that finished its chunk has nothing to wait
+// for, so it goes straight back to waiting for the next generation.
+// Every wait spins briefly, then parks on the futex — unless the pool
+// has more threads than the CPUs the affinity mask grants, in which
+// case the waiter parks at once: spinning would only steal the core
+// from the thread it waits for.
 //
 // ## Concurrency contract
 //
 //  * One region at a time.  The pool accepts exactly one parallel region
 //    at any moment.  The check-and-claim is a single atomic operation,
-//    so any number of threads may call parallel_for/parallel_reduce/
-//    parallel_phases concurrently: exactly one submission wins the pool;
-//    every loser — including nested calls from inside a worker — runs
-//    its whole range serially on the calling thread (OpenMP's
-//    nested-parallelism-off rule).  Losers do not wait for the pool.
+//    so any number of threads may call parallel_for/parallel_reduce
+//    concurrently: exactly one submission wins the pool; every loser —
+//    including nested calls from inside a worker — runs its whole range
+//    serially on the calling thread (OpenMP's nested-parallelism-off
+//    rule).  Losers do not wait for the pool.
 //  * A region is fully joined before parallel_for returns: every chunk
 //    has finished and its effects are visible to the caller.
 //  * Worker exceptions are captured and the first one is rethrown on the
 //    submitting thread after the join; the remaining chunks still run.
-//  * The destructor must not race a live region (standard lifetime
-//    rule: join your submitters before destroying the pool).
+//  * The destructor wakes parked workers and joins them.  It must not
+//    race a live region (standard lifetime rule: join your submitters
+//    before destroying the pool).
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "ookami/common/barrier.hpp"
-
 namespace ookami {
+
+/// CPUs the calling thread may run on (its sched_getaffinity mask), at
+/// least 1.  Unlike std::thread::hardware_concurrency() this honours
+/// taskset, cgroup cpusets and SLURM core binding.
+unsigned usable_cpus();
+
+namespace detail {
+/// Busy-phase bounds before the futex park.
+struct SpinPolicy {
+  unsigned spin_iters;
+  unsigned yield_iters;
+};
+/// {0, 0} when `participants` exceed usable_cpus(): every cycle spent
+/// spinning or yield-bouncing is stolen from the thread being waited
+/// for.  Otherwise a few thousand pause iterations cover the fast
+/// all-cores-running arrival window before conceding the core.
+SpinPolicy auto_spin_policy(unsigned participants);
+
+/// 32-bit wait/wake word.  On Linux this parks on the raw futex (no
+/// library-side spin: std::atomic::wait front-loads its own spin/yield
+/// phase, which is exactly the cycle theft auto_spin_policy avoids when
+/// the machine is oversubscribed); elsewhere it falls back to
+/// std::atomic::wait.  A waiter count makes wakes free when nobody is
+/// parked, the same trick glibc's condvar uses — minus the mutex.
+struct FutexWord {
+  std::atomic<std::uint32_t> value{0};
+  std::atomic<std::uint32_t> waiters{0};
+  /// Spin/yield per `policy`, then park until `value != old`.
+  void wait_while(std::uint32_t old, SpinPolicy policy);
+  /// Wake every parked waiter.  Call after a seq_cst write of `value`.
+  void wake();
+};
+}  // namespace detail
 
 /// Fork/join pool with `num_threads` persistent workers (worker 0 is the
 /// calling thread).  Not reentrant: nested parallel_for from inside a
@@ -56,29 +87,14 @@ namespace ookami {
 /// (see the concurrency contract above).
 class ThreadPool {
 public:
-  /// `num_threads` 0 = hardware concurrency.  `barrier` selects the
-  /// fork/join strategy (default: OOKAMI_POOL_BARRIER or condvar).
-  /// `group_size` > 0 shards workers into groups of that many
-  /// consecutive thread ids for parallel_phases and the hierarchical
-  /// barrier; 0 consults OOKAMI_POOL_GROUP_SIZE, then defaults to 12
-  /// (the A64FX CMG width under compact binding) for kHierarchical and
-  /// to a single group otherwise.
-  explicit ThreadPool(unsigned num_threads = 0, BarrierMode barrier = default_barrier_mode(),
-                      unsigned group_size = 0);
+  /// `num_threads` 0 = usable_cpus().
+  explicit ThreadPool(unsigned num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] unsigned size() const { return num_threads_; }
-  [[nodiscard]] BarrierMode barrier_mode() const { return mode_; }
-  /// Threads per shard group (== size() when unsharded).
-  [[nodiscard]] unsigned group_size() const { return group_size_; }
-  [[nodiscard]] unsigned group_count() const { return group_count_; }
-  /// Shard group of a thread id (compact binding: tid / group_size).
-  [[nodiscard]] unsigned group_of(unsigned tid) const { return tid / group_size_; }
-  /// [begin, end) thread ids of shard group `g`.
-  [[nodiscard]] std::pair<unsigned, unsigned> group_threads(unsigned g) const;
 
   /// Run `body(begin, end, thread_id)` over [first, last) split into one
   /// contiguous chunk per thread (OpenMP schedule(static)).  If any
@@ -97,68 +113,37 @@ public:
       const std::function<double(std::size_t, std::size_t, unsigned)>& body,
       const std::function<double(double, double)>& combine);
 
-  /// One phase of a sharded region: chunk [begin, end), thread id, and
-  /// the thread's shard group.
-  using PhaseFn = std::function<void(std::size_t, std::size_t, unsigned, unsigned)>;
-
-  /// Run `phases` back to back over [first, last) with *group-local*
-  /// joins between consecutive phases: each thread owns the same static
-  /// chunk as parallel_for would give it (so first-touch placement
-  /// carries over), and between phases it synchronizes only with its
-  /// shard group's barrier.  The global join happens once, after the
-  /// final phase.  Contract: phase k+1 of group g may only depend on
-  /// phase-k writes made by group g — cross-group dependencies need a
-  /// full join (separate parallel_for/parallel_phases calls).  With one
-  /// group this degenerates to a full barrier between phases.  A
-  /// throwing phase is captured like parallel_for's body; later phases
-  /// of that thread still run so barrier arrivals stay balanced.
-  void parallel_phases(std::size_t first, std::size_t last, const std::vector<PhaseFn>& phases);
-
   /// Static chunk [begin, end) owned by `tid` of `nthreads` over n items.
   static std::pair<std::size_t, std::size_t> static_chunk(std::size_t n, unsigned tid,
                                                           unsigned nthreads);
 
-  /// Process-wide default pool sized to hardware concurrency.
+  /// Process-wide default pool sized to usable_cpus().
   static ThreadPool& global();
 
 private:
   void worker_loop(unsigned tid);
-  void wait_for_start(unsigned tid, std::uint32_t& seen);
-  void join_as_worker(unsigned tid);
   void run_region(const std::function<void(unsigned)>& task);
 
   unsigned num_threads_;
-  BarrierMode mode_;
-  unsigned group_size_;
-  unsigned group_count_;
+  // How long a waiter (worker or submitter) busy-waits before parking.
+  detail::SpinPolicy policy_;
   std::vector<std::thread> workers_;
 
-  // Fork signal.  `generation_` is bumped after `task_` is published;
-  // workers acquire-load it, so the task pointer — which may dangle
-  // between regions but is never dereferenced then — is always re-read
-  // fresh.  Condvar mode additionally guards it with mu_.  A 32-bit
-  // futex word on purpose: a parked worker cannot see the same value
-  // again short of 2^32 regions submitted while it never runs.
+  // Fork signal.  `generation_` is bumped after `task_` and `pending_`
+  // are published; workers acquire-load it, so the task pointer — which
+  // may dangle between regions but is never dereferenced then — is
+  // always re-read fresh.  A 32-bit futex word on purpose: a parked
+  // worker cannot see the same value again short of 2^32 regions
+  // submitted while it never runs.
   detail::FutexWord generation_;
-  // How long a worker busy-waits for the next fork before parking.
-  detail::SpinPolicy start_policy_;
+  // Join countdown: workers still running the current region.
+  detail::FutexWord pending_;
   std::atomic<const std::function<void(unsigned)>*> task_{nullptr};
   std::atomic<bool> stop_{false};
 
   // Single-submitter claim: compare-exchanged false->true by the one
   // submission that wins the pool, cleared after its join.
   std::atomic<bool> active_{false};
-
-  // Condvar-mode join state (guarded by mu_).
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  unsigned pending_ = 0;
-
-  // Spin-mode join barrier over all num_threads_ participants.
-  std::unique_ptr<Barrier> join_barrier_;
-  // Group-local barriers for parallel_phases (slot = tid - group begin).
-  std::vector<std::unique_ptr<Barrier>> group_barriers_;
 };
 
 }  // namespace ookami

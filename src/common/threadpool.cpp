@@ -1,52 +1,97 @@
 #include "ookami/common/threadpool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
+#include <mutex>
 
 #include "ookami/trace/trace.hpp"
 
+#if defined(__linux__)
+#include <climits>
+#include <linux/futex.h>
+#include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 namespace ookami {
+
+unsigned usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+namespace detail {
 
 namespace {
 
-// Shard width: explicit argument, then OOKAMI_POOL_GROUP_SIZE, then 12
-// (the A64FX CMG width, so compact-bound thread ids map to CMGs the way
-// ookami::numa::domain_of_thread does) for the hierarchical barrier and
-// a single full-width group otherwise.
-unsigned resolve_group_size(unsigned requested, BarrierMode mode, unsigned nthreads) {
-  unsigned gs = requested;
-  if (gs == 0) {
-    if (const char* v = std::getenv("OOKAMI_POOL_GROUP_SIZE"); v != nullptr && *v != '\0') {
-      gs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    }
-  }
-  if (gs == 0) gs = mode == BarrierMode::kHierarchical ? 12u : nthreads;
-  return std::clamp(gs, 1u, nthreads);
+/// One polite busy-wait iteration (x86 pause / arm yield).
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
 }
 
 }  // namespace
 
-ThreadPool::ThreadPool(unsigned num_threads, BarrierMode barrier, unsigned group_size)
-    : num_threads_(num_threads ? num_threads : std::max(1u, std::thread::hardware_concurrency())),
-      mode_(barrier),
-      group_size_(resolve_group_size(group_size, barrier, num_threads_)),
-      group_count_((num_threads_ + group_size_ - 1) / group_size_) {
-  start_policy_ = detail::auto_spin_policy(num_threads_);
-  if (mode_ != BarrierMode::kCondvar) {
-    join_barrier_ = mode_ == BarrierMode::kHierarchical
-                        ? std::unique_ptr<Barrier>(
-                              std::make_unique<HierarchicalBarrier>(num_threads_, group_size_))
-                        : std::unique_ptr<Barrier>(std::make_unique<SpinBarrier>(num_threads_));
+SpinPolicy auto_spin_policy(unsigned participants) {
+  return participants > usable_cpus() ? SpinPolicy{0u, 0u} : SpinPolicy{4096u, 64u};
+}
+
+void FutexWord::wait_while(std::uint32_t old, SpinPolicy policy) {
+  for (unsigned i = 0; i < policy.spin_iters; ++i) {
+    if (value.load(std::memory_order_acquire) != old) return;
+    cpu_relax();
   }
-  // Group-local barriers back parallel_phases whatever the join mode;
-  // under condvar the phases sleep between arrivals too.
-  group_barriers_.reserve(group_count_);
-  for (unsigned g = 0; g < group_count_; ++g) {
-    const auto [b, e] = group_threads(g);
-    group_barriers_.push_back(make_barrier(
-        mode_ == BarrierMode::kCondvar ? BarrierMode::kCondvar : BarrierMode::kSpin, e - b));
+  for (unsigned i = 0; i < policy.yield_iters; ++i) {
+    if (value.load(std::memory_order_acquire) != old) return;
+    std::this_thread::yield();
   }
+  while (value.load(std::memory_order_acquire) == old) {
+    // Publish the waiter count before the final check-and-park; the
+    // seq_cst RMW and load order against the waker's seq_cst write of
+    // `value` and load of `waiters`, so either the waker sees our count
+    // or we see its new value.  The kernel re-checks `value == old`
+    // under its own lock, so a wake landing between that check and the
+    // syscall cannot be lost.
+    waiters.fetch_add(1, std::memory_order_seq_cst);
+    if (value.load(std::memory_order_seq_cst) == old) {
+#if defined(__linux__)
+      syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&value), FUTEX_WAIT_PRIVATE, old,
+              nullptr, nullptr, 0);
+#else
+      value.wait(old, std::memory_order_acquire);
+#endif
+    }
+    waiters.fetch_sub(1, std::memory_order_release);
+  }
+}
+
+void FutexWord::wake() {
+  if (waiters.load(std::memory_order_seq_cst) == 0) return;
+#if defined(__linux__)
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&value), FUTEX_WAKE_PRIVATE, INT_MAX,
+          nullptr, nullptr, 0);
+#else
+  value.notify_all();
+#endif
+}
+
+}  // namespace detail
+
+ThreadPool::ThreadPool(unsigned num_threads)
+    : num_threads_(num_threads ? num_threads : usable_cpus()),
+      policy_(detail::auto_spin_policy(num_threads_)) {
   workers_.reserve(num_threads_ - 1);
   for (unsigned tid = 1; tid < num_threads_; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });
@@ -54,91 +99,40 @@ ThreadPool::ThreadPool(unsigned num_threads, BarrierMode barrier, unsigned group
 }
 
 ThreadPool::~ThreadPool() {
-  if (mode_ == BarrierMode::kCondvar) {
-    {
-      std::lock_guard lk(mu_);
-      stop_.store(true, std::memory_order_relaxed);
-    }
-    cv_start_.notify_all();
-  } else {
-    stop_.store(true, std::memory_order_relaxed);
-    // The bump publishes the stop flag to workers parked on the
-    // generation word (spin or futex).
-    generation_.add_and_wake(1);
-  }
+  stop_.store(true, std::memory_order_relaxed);
+  // The bump publishes the stop flag to workers spinning or parked on
+  // the generation word.
+  generation_.value.fetch_add(1, std::memory_order_seq_cst);
+  generation_.wake();
   for (auto& w : workers_) w.join();
-}
-
-std::pair<unsigned, unsigned> ThreadPool::group_threads(unsigned g) const {
-  const unsigned begin = g * group_size_;
-  return {begin, std::min(begin + group_size_, num_threads_)};
-}
-
-void ThreadPool::wait_for_start(unsigned tid, std::uint32_t& seen) {
-  (void)tid;
-  if (mode_ == BarrierMode::kCondvar) {
-    std::unique_lock lk(mu_);
-    cv_start_.wait(lk, [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             generation_.value.load(std::memory_order_relaxed) != seen;
-    });
-    seen = generation_.value.load(std::memory_order_relaxed);
-    return;
-  }
-  // Bounded spin, bounded yield, then futex park — idle workers must
-  // not pin a core between regions (or steal it from the submitter when
-  // the pool oversubscribes the machine).
-  generation_.wait_while(seen, start_policy_);
-  seen = generation_.value.load(std::memory_order_acquire);
-}
-
-void ThreadPool::join_as_worker(unsigned tid) {
-  if (mode_ == BarrierMode::kCondvar) {
-    std::lock_guard lk(mu_);
-    if (--pending_ == 0) cv_done_.notify_all();
-  } else {
-    // Arrive without waiting for the release: the worker's next act is
-    // parking for the next generation, so sleeping on the barrier just
-    // to wake into another sleep would double the futex traffic.
-    join_barrier_->arrive(tid);
-  }
 }
 
 void ThreadPool::worker_loop(unsigned tid) {
   std::uint32_t seen = 0;
   for (;;) {
-    wait_for_start(tid, seen);
+    generation_.wait_while(seen, policy_);
+    seen = generation_.value.load(std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) return;
-    const std::function<void(unsigned)>* task = task_.load(std::memory_order_relaxed);
-    (*task)(tid);
-    join_as_worker(tid);
+    (*task_.load(std::memory_order_relaxed))(tid);
+    // The last worker out wakes the submitter; the rest just leave.
+    if (pending_.value.fetch_sub(1, std::memory_order_seq_cst) == 1) pending_.wake();
   }
 }
 
 void ThreadPool::run_region(const std::function<void(unsigned)>& task) {
-  if (mode_ == BarrierMode::kCondvar) {
-    {
-      std::lock_guard lk(mu_);
-      task_.store(&task, std::memory_order_relaxed);
-      pending_ = num_threads_ - 1;
-      generation_.value.fetch_add(1, std::memory_order_relaxed);
-    }
-    cv_start_.notify_all();
-    task(0);
-    std::unique_lock lk(mu_);
-    cv_done_.wait(lk, [&] { return pending_ == 0; });
-    task_.store(nullptr, std::memory_order_relaxed);
-    return;
-  }
-  // Publish the task, then bump the generation: a worker's acquire read
-  // of the new generation makes the task pointer (and everything the
-  // submitter wrote before it) visible.
+  // Publish the task and the countdown, then bump the generation: a
+  // worker's acquire read of the new generation makes both (and
+  // everything the submitter wrote before them) visible.
   task_.store(&task, std::memory_order_relaxed);
-  generation_.add_and_wake(1);
+  pending_.value.store(num_threads_ - 1, std::memory_order_relaxed);
+  generation_.value.fetch_add(1, std::memory_order_seq_cst);
+  generation_.wake();
   task(0);
-  // Join root: block until every worker has arrived (they do not wait
-  // for each other — see join_as_worker).
-  join_barrier_->join(0);
+  // Join: each decrement is a release RMW, so the acquire load that
+  // reads zero sees every worker's writes.
+  for (std::uint32_t left; (left = pending_.value.load(std::memory_order_acquire)) != 0;) {
+    pending_.wait_while(left, policy_);
+  }
 }
 
 std::pair<std::size_t, std::size_t> ThreadPool::static_chunk(std::size_t n, unsigned tid,
@@ -161,9 +155,7 @@ void ThreadPool::parallel_for(
     // Atomic check-and-claim: of any number of concurrent submitters
     // (outside threads or nested calls from a worker) exactly one wins
     // the pool; the rest run their range serially, the same rule as
-    // nested regions.  Two lock scopes used to separate the check from
-    // the claim here, so two simultaneous outside submitters could both
-    // pass and clobber each other's task/pending state.
+    // nested regions.
     bool expected = false;
     if (!active_.compare_exchange_strong(expected, true, std::memory_order_acquire)) {
       run_serial = true;
@@ -194,58 +186,6 @@ void ThreadPool::parallel_for(
     } catch (...) {
       std::lock_guard lk(error_mu);
       if (!first_error) first_error = std::current_exception();
-    }
-  };
-
-  run_region(task);
-  active_.store(false, std::memory_order_release);
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_phases(std::size_t first, std::size_t last,
-                                 const std::vector<PhaseFn>& phases) {
-  const std::size_t n = last > first ? last - first : 0;
-  if (n == 0 || phases.empty()) return;
-
-  bool run_serial = num_threads_ == 1;
-  if (!run_serial) {
-    bool expected = false;
-    if (!active_.compare_exchange_strong(expected, true, std::memory_order_acquire)) {
-      run_serial = true;
-    }
-  }
-  if (run_serial) {
-    // Serial fallback keeps phase order; a single thread is trivially a
-    // group-local join, so no barriers are needed.
-    for (const auto& phase : phases) phase(first, last, 0, 0);
-    return;
-  }
-
-  trace::Scope fork_scope("pool/parallel_phases");
-
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  std::function<void(unsigned)> task = [&](unsigned tid) {
-    const unsigned g = group_of(tid);
-    const auto [gbegin, gend] = group_threads(g);
-    (void)gend;
-    Barrier* gbar = group_barriers_[g].get();
-    // Each thread owns the chunk parallel_for would give it, so data a
-    // first-touch parallel_for placed stays group-local here.
-    const auto [b, e] = static_chunk(n, tid, num_threads_);
-    trace::Scope worker_scope("pool/worker");
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-      // Group-local join between phases: threads wait only for their
-      // own shard group, never for the whole pool.
-      if (p != 0) gbar->wait(tid - gbegin);
-      if (b >= e) continue;
-      try {
-        phases[p](first + b, first + e, tid, g);
-      } catch (...) {
-        std::lock_guard lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
     }
   };
 

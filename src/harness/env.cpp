@@ -1,14 +1,14 @@
 // Machine/build environment capture for the harness result files.
 // Build-configuration facts (flags, build type, git revision) arrive as
 // compile definitions from src/harness/CMakeLists.txt; runtime facts
-// come from uname/gethostname/hardware_concurrency.
+// come from uname/gethostname and the CPU affinity mask.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <thread>
 
+#include "ookami/common/threadpool.hpp"
 #include "ookami/harness/harness.hpp"
 #include "ookami/simd/backend.hpp"
 
@@ -80,7 +80,6 @@ Environment capture_environment() {
   static const char* const kRelevantEnv[] = {
       "OOKAMI_THREADS",        "OOKAMI_TRACE",    "OOKAMI_SIMD_BACKEND",
       "OOKAMI_KERNEL_BACKEND", "OOKAMI_AUTOTUNE", "OOKAMI_TUNE_FILE",
-      "OOKAMI_POOL_BARRIER",   "OOKAMI_POOL_GROUP_SIZE",
       "OOKAMI_TASKGRAPH",      "OOKAMI_TASKGRAPH_CHUNKS",
       "OOKAMI_SERVE_PORT",     "OOKAMI_SERVE_QUEUE_DEPTH", "OOKAMI_SERVE_BATCH",
       "OOKAMI_SERVE_THREADS",
@@ -96,7 +95,7 @@ Environment capture_environment() {
   env.build_type = OOKAMI_BUILD_TYPE;
   env.git_rev = OOKAMI_GIT_REV;
   env.timestamp_utc = iso8601_utc_now();
-  env.hardware_threads = std::thread::hardware_concurrency();
+  env.hardware_threads = usable_cpus();
 #if defined(__unix__) || defined(__APPLE__)
   char host[256] = {};
   if (gethostname(host, sizeof host - 1) == 0) env.host = host;

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "ookami/harness/json.hpp"
+#include "ookami/common/json.hpp"
 
 namespace ookami::harness {
 

@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "ookami/common/cli.hpp"
+#include "ookami/common/json.hpp"
 #include "ookami/common/stats.hpp"
 #include "ookami/common/table.hpp"
-#include "ookami/harness/json.hpp"
 #include "ookami/metrics/registry.hpp"
 #include "ookami/report/report.hpp"
 
@@ -88,6 +88,7 @@ struct Environment {
   /// Active SIMD backend ("scalar"/"sse2"/"avx2") resolved at capture
   /// time: override > OOKAMI_SIMD_BACKEND > CPUID detection.
   std::string simd_backend;
+  /// CPUs the affinity mask grants (ookami::usable_cpus()).
   unsigned hardware_threads = 0;
   /// Runtime environment variables that affect results (OOKAMI_THREADS,
   /// OOKAMI_TRACE, OMP_*), captured so archived JSON identifies how a

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "ookami/harness/json.hpp"
+#include "ookami/common/json.hpp"
 #include "ookami/metrics/metrics.hpp"
 #include "ookami/trace/aggregate.hpp"
 

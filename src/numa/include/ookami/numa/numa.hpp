@@ -20,21 +20,13 @@ namespace ookami::numa {
 
 enum class Placement { kFirstTouch, kAllOnDomain0, kInterleave };
 
-// Compact-binding thread->CMG helpers, shared by the page map and the
-// ThreadPool's CMG-shard mode: threads fill domains in order (threads
+// Compact binding: threads fill domains in order (threads
 // 0..cores_per_domain-1 on domain 0, ...), exactly as SLURM core
 // binding does on Ookami.
 
 /// Domain of `thread` under compact binding (clamped to the last domain
 /// for thread ids beyond the machine).
 int domain_of_thread(const perf::NumaTopology& topo, int thread);
-
-/// Threads per shard group under compact binding — the ThreadPool
-/// `group_size` that makes pool groups coincide with CMGs.
-int compact_group_size(const perf::NumaTopology& topo);
-
-/// Number of populated domains when `nthreads` threads are compact-bound.
-int compact_group_count(const perf::NumaTopology& topo, int nthreads);
 
 /// Simulated page table: pages are assigned to a NUMA domain on first
 /// touch according to the policy.

@@ -9,14 +9,6 @@ int domain_of_thread(const perf::NumaTopology& topo, int thread) {
   return std::min(thread / topo.cores_per_domain, topo.domains - 1);
 }
 
-int compact_group_size(const perf::NumaTopology& topo) { return topo.cores_per_domain; }
-
-int compact_group_count(const perf::NumaTopology& topo, int nthreads) {
-  if (nthreads <= 0) return 0;
-  const int groups = (nthreads + topo.cores_per_domain - 1) / topo.cores_per_domain;
-  return std::min(groups, topo.domains);
-}
-
 PageMap::PageMap(perf::NumaTopology topo, Placement policy, std::size_t page_bytes)
     : topo_(topo), policy_(policy), page_bytes_(page_bytes) {}
 

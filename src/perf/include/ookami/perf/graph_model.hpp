@@ -42,11 +42,12 @@ struct GraphTimes {
 };
 
 /// Model a step loop of `steps` iterations over `phases`, run with
-/// `threads` workers.  `barrier` names the ThreadPool barrier strategy
-/// priced for the bulk-synchronous path ("condvar", "spin",
-/// "hierarchical" or "hardware" — same names as sync_model).
+/// `threads` workers.  `barrier` names the fork/join protocol priced for
+/// the bulk-synchronous path ("condvar", "spin", "hierarchical" or
+/// "hardware" — same names as sync_model); the default is "spin", the
+/// protocol the ThreadPool runs.
 GraphTimes model_phase_graph(const MachineModel& m, const std::vector<PhaseSpec>& phases,
-                             int steps, int threads, const char* barrier = "condvar");
+                             int steps, int threads, const char* barrier = "spin");
 
 /// Modeled per-task dispatch cost (seconds) of the TaskGraph executor
 /// on `m`: ready-queue mutex hold + in-degree countdown + share of the

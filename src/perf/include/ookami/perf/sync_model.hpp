@@ -1,13 +1,14 @@
 #pragma once
-// Analytic fork/join synchronization cost models (the barrier_bench
-// companion to machine.hpp's omp_fork_join_us).
+// Analytic fork/join synchronization cost models (the companion to
+// machine.hpp's omp_fork_join_us).
 //
 // The paper attributes much of A64FX's fine-grained OpenMP cost to
 // barrier synchronization — the reason the RRZE A64FX_HWB kmod exposes
 // the Fujitsu hardware barrier (its benchmark measures the HWB roughly
 // an order of magnitude under software barriers).  These models price
-// the ThreadPool's pluggable strategies plus that hardware barrier so
-// the harness can archive modeled costs next to measured ones:
+// the software protocols an OpenMP-style runtime can choose from (the
+// ThreadPool runs `spin`) plus that hardware barrier, so the harness
+// can archive modeled costs next to measured ones:
 //
 //   * condvar       — futex sleep/wake chains: a microsecond-scale base
 //                     (two syscalls and a scheduler wakeup) plus a

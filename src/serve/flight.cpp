@@ -3,14 +3,14 @@
 #include <cstdio>
 #include <fstream>
 
-#include "ookami/harness/json.hpp"
+#include "ookami/common/json.hpp"
 #include "ookami/metrics/registry.hpp"
 
 namespace ookami::serve {
 
 namespace {
 
-using harness::json::Value;
+using json::Value;
 
 std::string hex16(std::uint64_t id) {
   char buf[24];

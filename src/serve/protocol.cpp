@@ -3,11 +3,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "ookami/harness/json.hpp"
+#include "ookami/common/json.hpp"
 
 namespace ookami::serve {
-
-namespace json = harness::json;
 
 const char* error_name(ErrorCode code) {
   switch (code) {

@@ -17,8 +17,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "ookami/common/json.hpp"
 #include "ookami/dispatch/registry.hpp"
-#include "ookami/harness/json.hpp"
 #include "ookami/serve/flight.hpp"
 #include "ookami/serve/http.hpp"
 #include "ookami/serve/protocol.hpp"
@@ -27,8 +27,6 @@
 #include "ookami/trace/trace.hpp"
 
 namespace ookami::serve {
-
-namespace json = harness::json;
 
 namespace {
 
@@ -326,8 +324,6 @@ void Server::handle_healthz(int fd) {
 
   json::Value pool = json::Value::object();
   pool.set("threads", static_cast<unsigned long long>(pool_.size()));
-  pool.set("barrier", barrier_mode_name(pool_.barrier_mode()));
-  pool.set("group_size", static_cast<unsigned long long>(pool_.group_size()));
   doc.set("pool", std::move(pool));
 
   json::Value serve = json::Value::object();

@@ -11,7 +11,8 @@
 //  * frintn maps to vroundpd(nearest) == std::nearbyint in the default
 //    rounding mode.
 //  * Masked loads/gathers use maskload / masked-gather forms so inactive
-//    lanes never touch memory (same no-fault contract as sve::ld1).
+//    lanes never touch memory — neither their data nor their gather
+//    index (same no-fault contract as sve::ld1 and sve::ld1_gather).
 //  * u32 gather indices ride _mm256_i32gather_pd, which sign-extends;
 //    fine for any index < 2^31, which covers every array in this repo.
 
@@ -114,8 +115,10 @@ struct batch<double, N, arch::avx2> {
   static batch gather(const pred& pg, const double* base, const std::uint32_t* idx) {
     batch b;
     for (int k = 0; k < kChunks; ++k) {
-      const __m128i ix =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + 4 * k));
+      // Narrow the 64-bit lane mask to the 32-bit index lanes.
+      const __m128i m32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+          _mm256_castpd_si256(pg.r[k]), _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0)));
+      const __m128i ix = _mm_maskload_epi32(reinterpret_cast<const int*>(idx + 4 * k), m32);
       b.r[k] = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, ix, pg.r[k], 8);
     }
     return b;
@@ -123,8 +126,8 @@ struct batch<double, N, arch::avx2> {
   static batch gather(const pred& pg, const double* base, const std::int64_t* idx) {
     batch b;
     for (int k = 0; k < kChunks; ++k) {
-      const __m256i ix =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + 4 * k));
+      const __m256i ix = _mm256_maskload_epi64(reinterpret_cast<const long long*>(idx + 4 * k),
+                                               _mm256_castpd_si256(pg.r[k]));
       b.r[k] = _mm256_mask_i64gather_pd(_mm256_setzero_pd(), base, ix, pg.r[k], 8);
     }
     return b;

@@ -17,8 +17,9 @@
 //  * frintn maps to vrndscalepd(nearest) == std::nearbyint in the
 //    default rounding mode.
 //  * Masked loads/gathers/scatters use the native zero-masked forms, so
-//    inactive lanes never touch memory (same no-fault contract as
-//    sve::ld1) and inactive gather lanes read as +0.0.
+//    inactive lanes never touch memory — neither their data nor their
+//    gather/scatter index (same no-fault contract as sve::ld1) — and
+//    inactive gather lanes read as +0.0.
 //  * cvt_s64/cvt_f64 keep the 0x1.8p52 magic-number trick rather than
 //    vcvtpd2qq, so out-of-contract inputs (|x| >= 2^51) produce the
 //    same unspecified-but-deterministic bits as every other backend.
@@ -122,7 +123,9 @@ struct batch<double, N, arch::avx512> {
   static batch gather(const pred& pg, const double* base, const std::uint32_t* idx) {
     batch b;
     for (int k = 0; k < kChunks; ++k) {
-      const __m256i ix = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + 8 * k));
+      // extracti32x8, not castsi512_si256: GCC 12's cast trips -Wuninitialized.
+      const __m256i ix =
+          _mm512_extracti32x8_epi32(_mm512_maskz_loadu_epi32(pg.r[k], idx + 8 * k), 0);
       b.r[k] = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), pg.r[k], ix, base, 8);
     }
     return b;
@@ -130,7 +133,7 @@ struct batch<double, N, arch::avx512> {
   static batch gather(const pred& pg, const double* base, const std::int64_t* idx) {
     batch b;
     for (int k = 0; k < kChunks; ++k) {
-      const __m512i ix = _mm512_loadu_si512(idx + 8 * k);
+      const __m512i ix = _mm512_maskz_loadu_epi64(pg.r[k], idx + 8 * k);
       b.r[k] = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), pg.r[k], ix, base, 8);
     }
     return b;
@@ -144,13 +147,14 @@ struct batch<double, N, arch::avx512> {
   }
   void scatter(const pred& pg, double* base, const std::uint32_t* idx) const {
     for (int k = 0; k < kChunks; ++k) {
-      const __m256i ix = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + 8 * k));
+      const __m256i ix =
+          _mm512_extracti32x8_epi32(_mm512_maskz_loadu_epi32(pg.r[k], idx + 8 * k), 0);
       _mm512_mask_i32scatter_pd(base, pg.r[k], ix, r[k], 8);
     }
   }
   void scatter(const pred& pg, double* base, const std::int64_t* idx) const {
     for (int k = 0; k < kChunks; ++k) {
-      const __m512i ix = _mm512_loadu_si512(idx + 8 * k);
+      const __m512i ix = _mm512_maskz_loadu_epi64(pg.r[k], idx + 8 * k);
       _mm512_mask_i64scatter_pd(base, pg.r[k], ix, r[k], 8);
     }
   }

@@ -80,8 +80,10 @@ inline Vec reduce(const Vec& x, VecU64& u) {
   r = sve::fma(n, Vec(-kLn2Lo64), r);
   const VecS64 ni = sve::fcvtzs(n);  // n is integral; truncation is exact
   VecU64 ubits;
+  // fcvtzs saturates NaN/inf/huge lanes to INT64_MIN/MAX; adding in
+  // uint64_t gives the same bits without signed overflow.
   for (int i = 0; i < sve::kLanes; ++i) {
-    ubits[i] = static_cast<std::uint64_t>(ni[i] + kFexpaBias);
+    ubits[i] = static_cast<std::uint64_t>(ni[i]) + static_cast<std::uint64_t>(kFexpaBias);
   }
   u = ubits;
   return r;

@@ -111,8 +111,9 @@ Vec exp2(const Vec& x) {
   const Vec r = sve::fma(n, Vec(-0.015625), x);  // exact
   const VecS64 ni = sve::fcvtzs(n);
   VecU64 u;
+  // Unsigned add: saturated fcvtzs lanes must not overflow (see exp.cpp).
   for (int i = 0; i < sve::kLanes; ++i) {
-    u[i] = static_cast<std::uint64_t>(ni[i] + kFexpaBias);
+    u[i] = static_cast<std::uint64_t>(ni[i]) + static_cast<std::uint64_t>(kFexpaBias);
   }
   const Vec scale = sve::fexpa(u);
   // 2^r = exp(r ln2).
@@ -139,7 +140,9 @@ Vec expm1(const Vec& x) {
   r = sve::fma(n, Vec(-kLn2Lo64), r);
   const VecS64 ni = sve::fcvtzs(n);
   VecU64 u;
-  for (int i = 0; i < sve::kLanes; ++i) u[i] = static_cast<std::uint64_t>(ni[i] + kFexpaBias);
+  for (int i = 0; i < sve::kLanes; ++i) {
+    u[i] = static_cast<std::uint64_t>(ni[i]) + static_cast<std::uint64_t>(kFexpaBias);
+  }
   const Vec scale = sve::fexpa(u);
   const Vec big = sve::fma(scale, exp_poly_q(r), scale - Vec(1.0));
 

@@ -111,7 +111,8 @@ Vec sincos_impl(const Vec& x, int phase) {
   for (int i = 0; i < sve::kLanes; ++i) {
     // Quadrant arithmetic per lane; the SVE original does this with
     // predicate masks built from the low bits of q.
-    const auto qi = static_cast<std::uint64_t>(q[i] + phase) & 3u;
+    // Unsigned add: q saturates for NaN/inf lanes, which must not overflow.
+    const auto qi = (static_cast<std::uint64_t>(q[i]) + static_cast<std::uint64_t>(phase)) & 3u;
     switch (qi) {
       case 0: out[i] = s[i]; break;
       case 1: out[i] = c[i]; break;

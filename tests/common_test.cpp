@@ -4,9 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "ookami/common/aligned.hpp"
 #include "ookami/common/cli.hpp"
@@ -274,6 +281,202 @@ TEST(ThreadPool, PoolUsableAfterWorkerException) {
       0, 10, 0.0, [](std::size_t b, std::size_t e, unsigned) { return double(e - b); },
       [](double a, double b) { return a + b; });
   EXPECT_EQ(total, 10.0);
+}
+
+// Idle workers leave the spin window (a few thousand pause iterations
+// and 64 yields, well under a millisecond) and park on the futex.  A
+// region must still wake every one of them, and so must the destructor.
+TEST(ThreadPool, ParkedWorkersWakeForRegionsAndDestructor) {
+  std::vector<std::atomic<int>> hits(1000);
+  {
+    ThreadPool pool(4);
+    for (int round = 0; round < 3; ++round) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      pool.parallel_for(0, hits.size(), [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t i = b; i < e; ++i) hits[i] += 1;
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 3);
+}
+
+#if defined(__linux__)
+// The pool sizes itself and its spin policy from the CPUs the affinity
+// mask grants, not from the machine's CPU count: a spinning waiter on a
+// CPU shared with the thread it waits for only delays that thread.
+TEST(ThreadPool, SizesFromAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0) GTEST_SKIP() << "cannot pin to one CPU";
+  EXPECT_EQ(usable_cpus(), 1u);
+  EXPECT_EQ(ThreadPool().size(), 1u);
+  const detail::SpinPolicy policy = detail::auto_spin_policy(2);
+  EXPECT_EQ(policy.spin_iters, 0u);
+  EXPECT_EQ(policy.yield_iters, 0u);
+  sched_setaffinity(0, sizeof saved, &saved);
+}
+#endif
+
+// The join's conformance cases.  The guarantees of the concurrency
+// contract are checked with the workers in both states a region can
+// find them in: still spinning (right after construction or a region)
+// or parked on the futex (idle longer than the spin window).
+enum class Idle { kSpinning, kParked };
+constexpr Idle kIdleStates[] = {Idle::kSpinning, Idle::kParked};
+
+const char* idle_label(Idle state) { return state == Idle::kSpinning ? "spinning" : "parked"; }
+
+// The spin window is a few thousand pause iterations and 64 yields,
+// well under a millisecond, so a 20 ms sleep parks every worker.
+void let_idle(Idle state) {
+  if (state == Idle::kParked) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(BarrierConformance, ParallelForVisitsEachIndexOnce) {
+  for (Idle state : kIdleStates) {
+    ThreadPool pool(4);
+    let_idle(state);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallel_for(0, hits.size(), [&](std::size_t b, std::size_t e, unsigned) {
+      for (std::size_t i = b; i < e; ++i) hits[i] += 1;
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << idle_label(state);
+  }
+}
+
+TEST(BarrierConformance, ParallelReduceFoldsInitExactlyOnce) {
+  constexpr double kInit = 100.0;
+  const double expected = kInit + 999.0 * 1000.0 / 2.0;
+  for (Idle state : kIdleStates) {
+    for (unsigned nthreads : {1u, 3u, 8u}) {
+      ThreadPool pool(nthreads);
+      let_idle(state);
+      const double total = pool.parallel_reduce(
+          0, 1000, kInit,
+          [](std::size_t b, std::size_t e, unsigned) {
+            double s = 0.0;
+            for (std::size_t i = b; i < e; ++i) s += static_cast<double>(i);
+            return s;
+          },
+          [](double a, double b) { return a + b; });
+      EXPECT_EQ(total, expected) << idle_label(state) << " with " << nthreads << " threads";
+    }
+  }
+}
+
+TEST(BarrierConformance, ExceptionPropagationAndReuse) {
+  for (Idle state : kIdleStates) {
+    ThreadPool pool(4);
+    let_idle(state);
+    EXPECT_THROW(pool.parallel_for(0, 100,
+                                   [](std::size_t b, std::size_t, unsigned) {
+                                     if (b == 0) throw std::runtime_error("worker failed");
+                                   }),
+                 std::runtime_error)
+        << idle_label(state);
+    // The join must have stayed balanced: the pool is reusable after a
+    // throwing region, also once its workers have gone idle again.
+    let_idle(state);
+    std::atomic<int> count{0};
+    pool.parallel_for(0, 64, [&](std::size_t b, std::size_t e, unsigned) {
+      count += static_cast<int>(e - b);
+    });
+    EXPECT_EQ(count.load(), 64) << idle_label(state);
+  }
+}
+
+TEST(BarrierConformance, NestedParallelForDegradesToSerial) {
+  for (Idle state : kIdleStates) {
+    ThreadPool pool(4);
+    let_idle(state);
+    std::atomic<int> count{0};
+    pool.parallel_for(0, 4, [&](std::size_t, std::size_t, unsigned) {
+      pool.parallel_for(0, 10, [&](std::size_t b, std::size_t e, unsigned) {
+        count += static_cast<int>(e - b);
+      });
+    });
+    EXPECT_EQ(count.load(), 40) << idle_label(state);
+  }
+}
+
+// Regression for the concurrent-submission race: the check of the
+// active flag and the claim of the region state used to live in two
+// separate lock scopes, so two outside submitters could both pass the
+// check and corrupt the region (lost chunks, double-run chunks, or a
+// stuck join).  With the atomic check-and-claim every index is
+// incremented exactly once no matter how many threads submit
+// concurrently — losers run serially.
+TEST(BarrierConformance, ConcurrentSubmittersLoseNoChunks) {
+  constexpr unsigned kSubmitters = 6;
+  constexpr int kRoundsPerSubmitter = 50;
+  constexpr std::size_t kN = 512;
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> submitters;
+  for (unsigned s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int r = 0; r < kRoundsPerSubmitter; ++r) {
+        pool.parallel_for(0, kN, [&](std::size_t b, std::size_t e, unsigned) {
+          for (std::size_t i = b; i < e; ++i) hits[i] += 1;
+        });
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : submitters) t.join();
+  const int expected = static_cast<int>(kSubmitters) * kRoundsPerSubmitter;
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), expected) << "index " << i;
+}
+
+TEST(BarrierConformance, ConcurrentReduceSubmittersStaysCorrect) {
+  constexpr unsigned kSubmitters = 4;
+  constexpr int kRounds = 30;
+  const double expected = 999.0 * 1000.0 / 2.0;
+  ThreadPool pool(3);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  for (unsigned s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        const double total = pool.parallel_reduce(
+            0, 1000, 0.0,
+            [](std::size_t b, std::size_t e, unsigned) {
+              double acc = 0.0;
+              for (std::size_t i = b; i < e; ++i) acc += static_cast<double>(i);
+              return acc;
+            },
+            [](double a, double b) { return a + b; });
+        if (total != expected) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+// The generation word is the fork's sense: each region changes it and a
+// worker waits for it to differ from the value it last saw.  Thousands
+// of back-to-back regions re-arm the join countdown and advance the word
+// once each, so any lost wakeup or stale count shows up as a hang or a
+// wrong total.
+TEST(BarrierConformance, SenseReversalSurvivesManyGenerations) {
+  ThreadPool pool(4);
+  std::atomic<long> total{0};
+  constexpr int kGenerations = 4000;
+  for (int g = 0; g < kGenerations; ++g) {
+    pool.parallel_for(0, 4, [&](std::size_t b, std::size_t e, unsigned) {
+      total += static_cast<long>(e - b);
+    });
+  }
+  EXPECT_EQ(total.load(), 4L * kGenerations);
 }
 
 TEST(Table, AlignedRendering) {

@@ -12,10 +12,10 @@
 #include <limits>
 #include <sstream>
 
+#include "ookami/common/json.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/harness/diff.hpp"
 #include "ookami/harness/harness.hpp"
-#include "ookami/harness/json.hpp"
 #include "ookami/harness/profile.hpp"
 #include "ookami/metrics/metrics.hpp"
 #include "ookami/simd/backend.hpp"

@@ -27,13 +27,6 @@ TEST(CompactBinding, FreeFunctionsMatchA64fxGeometry) {
   EXPECT_EQ(domain_of_thread(topo, 47), 3);
   // Beyond the machine: clamped to the last domain, never out of range.
   EXPECT_EQ(domain_of_thread(topo, 96), 3);
-  EXPECT_EQ(compact_group_size(topo), 12);
-  EXPECT_EQ(compact_group_count(topo, 1), 1);
-  EXPECT_EQ(compact_group_count(topo, 12), 1);
-  EXPECT_EQ(compact_group_count(topo, 13), 2);
-  EXPECT_EQ(compact_group_count(topo, 48), 4);
-  // More threads than cores still caps at the domain count.
-  EXPECT_EQ(compact_group_count(topo, 96), 4);
 }
 
 TEST(CompactBinding, PageMapDelegatesToFreeFunction) {

@@ -14,8 +14,8 @@
 #include <set>
 #include <vector>
 
+#include "ookami/common/json.hpp"
 #include "ookami/common/threadpool.hpp"
-#include "ookami/harness/json.hpp"
 #include "ookami/harness/profile.hpp"
 #include "ookami/trace/aggregate.hpp"
 #include "ookami/trace/export.hpp"
@@ -282,7 +282,7 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughHarnessParser) {
 
   // Parse with the harness's own JSON parser — the validity check the
   // acceptance criteria ask for.
-  const auto doc = harness::json::Value::parse(json_text);
+  const auto doc = ookami::json::Value::parse(json_text);
   ASSERT_TRUE(doc.is_object());
   const auto* arr = doc.find("traceEvents");
   ASSERT_NE(arr, nullptr);
@@ -324,7 +324,7 @@ TEST_F(TraceTest, ChromeDepthReconstructionFromContainment) {
     {"name": "ignored-meta", "ph": "M", "ts": 0}
   ]})";
   std::deque<std::string> names;
-  const auto events = harness::events_from_chrome(harness::json::Value::parse(text), names);
+  const auto events = harness::events_from_chrome(ookami::json::Value::parse(text), names);
   ASSERT_EQ(events.size(), 4u);  // the ph:"M" event is skipped
   const auto depth_of = [&](const std::string& n) {
     for (const auto& e : events) {
@@ -502,7 +502,7 @@ TEST_F(TraceTest, RecordSpanCarriesRequestIdThroughChromeExport) {
   const std::string chrome = to_chrome_json(events);
   std::deque<std::string> names;
   const auto parsed = ookami::harness::events_from_chrome(
-      ookami::harness::json::Value::parse(chrome), names);
+      ookami::json::Value::parse(chrome), names);
   ASSERT_EQ(parsed.size(), 2u);
   bool found = false;
   for (const auto& e : parsed) {

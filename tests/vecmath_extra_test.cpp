@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "ookami/vecmath/extra.hpp"
 #include "ookami/vecmath/ulp.hpp"
@@ -20,6 +21,11 @@ struct SweepCase {
   double lo, hi;
   double max_ulp;
 };
+
+// Without a printer gtest shows the parameter as raw bytes, and those
+// hold pointers that move with every load of the binary (ASLR), so the
+// listed test names would change from run to run.  Print the case name.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 double exp2_1(double x) { return exp2(Vec(x))[0]; }
 double expm1_1(double x) { return expm1(Vec(x))[0]; }

@@ -19,11 +19,11 @@
 #include <vector>
 
 #include "ookami/common/cli.hpp"
-#include "ookami/harness/json.hpp"
+#include "ookami/common/json.hpp"
 
 namespace {
 
-namespace json = ookami::harness::json;
+namespace json = ookami::json;
 
 struct Ev {
   std::string kind;

@@ -43,10 +43,10 @@
 #include <vector>
 
 #include "ookami/common/cli.hpp"
+#include "ookami/common/json.hpp"
 #include "ookami/common/rng.hpp"
 #include "ookami/common/stats.hpp"
 #include "ookami/harness/harness.hpp"
-#include "ookami/harness/json.hpp"
 #include "ookami/netsim/netsim.hpp"
 #include "ookami/report/report.hpp"
 #include "ookami/serve/http.hpp"
@@ -55,7 +55,6 @@
 namespace {
 
 using namespace ookami;
-namespace json = harness::json;
 
 /// Seeded arrival schedule in seconds from phase start.
 std::vector<double> make_arrivals(const std::string& kind, std::size_t count, double rate,

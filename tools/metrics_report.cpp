@@ -20,13 +20,13 @@
 #include <string>
 
 #include "ookami/common/cli.hpp"
+#include "ookami/common/json.hpp"
 #include "ookami/common/table.hpp"
-#include "ookami/harness/json.hpp"
 
 namespace {
 
 using ookami::TextTable;
-using ookami::harness::json::Value;
+using ookami::json::Value;
 
 std::string num_or_dash(const Value& obj, const std::string& key, int precision) {
   const Value* v = obj.find(key);

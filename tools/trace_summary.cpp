@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "ookami/common/cli.hpp"
-#include "ookami/harness/json.hpp"
+#include "ookami/common/json.hpp"
 #include "ookami/harness/profile.hpp"
 #include "ookami/trace/aggregate.hpp"
 
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream os;
     os << in.rdbuf();
-    const ookami::harness::json::Value doc = ookami::harness::json::Value::parse(os.str());
+    const ookami::json::Value doc = ookami::json::Value::parse(os.str());
 
     std::deque<std::string> names;
     auto events = ookami::harness::events_from_chrome(doc, names);
