@@ -3,7 +3,7 @@
 //
 // The variable holds a comma-separated list of `pattern=backend` rules:
 //
-//   OOKAMI_KERNEL_BACKEND="hpcc.dgemm=sse2,vecmath.*=scalar"
+//   OOKAMI_KERNEL_BACKEND="hpcc.dgemm=avx2,vecmath.*=scalar"
 //
 // A pattern is either a full kernel name or a glob where `*` matches any
 // run of characters (so `vecmath.*` covers every vecmath kernel and `*`

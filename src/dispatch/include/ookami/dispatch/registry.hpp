@@ -16,12 +16,12 @@
 //   if (auto* fn = kFig1.resolve()) { fn(...); return; }  // nullptr => scalar reference
 //
 //   // per-arch TU (compiled with the matching ISA flags): register a variant
-//   OOKAMI_DISPATCH_VARIANT_TU(loops_sse2)
+//   OOKAMI_DISPATCH_VARIANT_TU(loops_avx2)
 //   static const dispatch::variant_registrar<Fig1Fn> reg(
-//       "loops.fig1", simd::Backend::kSse2, &run_fig1_impl<simd::arch::sse2>);
+//       "loops.fig1", simd::Backend::kAvx2, &run_fig1_impl<simd::arch::avx2>);
 //
 //   // call-site TU: force the per-arch archive members to link
-//   OOKAMI_DISPATCH_USE_VARIANTS(loops_sse2)
+//   OOKAMI_DISPATCH_USE_VARIANTS(loops_avx2)
 //
 // Resolution for a kernel keeps the PR-4 precedence, now per kernel:
 //
@@ -240,7 +240,7 @@ CheckFn check(std::string_view name, double* tolerance = nullptr);
 /// registered.
 CostFn cost(std::string_view name);
 
-/// One line per kernel — "name<TAB>scalar,sse2,avx2" sorted by name —
+/// One line per kernel — "name<TAB>scalar,avx2,avx512" sorted by name —
 /// the stable manifest format behind the harness --list-kernels mode and
 /// the CI registry self-check.  Scalar is listed first on every kernel:
 /// the reference path always exists.

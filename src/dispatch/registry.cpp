@@ -364,7 +364,7 @@ std::string_view trim(std::string_view s) {
 
 OverrideSet parse_overrides(std::string_view spec, std::vector<std::string>* errors) {
   OverrideSet set;
-  auto complain = [&](std::string_view entry, const char* why) {
+  auto complain = [&](std::string_view entry, std::string_view why) {
     if (errors == nullptr) return;
     std::string msg = "'";
     msg.append(entry);
@@ -396,7 +396,7 @@ OverrideSet parse_overrides(std::string_view spec, std::vector<std::string>* err
     }
     OverrideRule rule;
     if (!simd::parse_backend(value, rule.backend)) {
-      complain(item, "unknown backend (want scalar, sse2, avx2 or avx512)");
+      complain(item, "unknown backend (want " + std::string(simd::kBackendNames) + ")");
       continue;
     }
     rule.pattern = std::string(pattern);

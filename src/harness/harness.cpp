@@ -76,9 +76,9 @@ std::string Options::usage() {
          "  --filter SUBSTR   only run benches whose name contains SUBSTR\n"
          "  --list            print registered bench names and exit\n"
          "  --list-kernels    print the kernel registry manifest and exit: one\n"
-         "                    'name<TAB>scalar[,sse2[,avx2[,avx512]]]' line per registered\n"
+         "                    'name<TAB>scalar[,avx2[,avx512]]' line per registered\n"
          "                    kernel (per-kernel overrides via OOKAMI_KERNEL_BACKEND,\n"
-         "                    e.g. \"hpcc.dgemm=sse2,vecmath.*=scalar\")\n"
+         "                    e.g. \"hpcc.dgemm=avx2,vecmath.*=scalar\")\n"
          "  --help            this message\n";
 }
 

@@ -85,7 +85,7 @@ struct Environment {
   std::string build_type;
   std::string git_rev;
   std::string timestamp_utc;
-  /// Active SIMD backend ("scalar"/"sse2"/"avx2") resolved at capture
+  /// Active SIMD backend ("scalar"/"avx2"/"avx512") resolved at capture
   /// time: override > OOKAMI_SIMD_BACKEND > CPUID detection.
   std::string simd_backend;
   /// CPUs the affinity mask grants (ookami::usable_cpus()).

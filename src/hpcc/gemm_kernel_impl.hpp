@@ -32,15 +32,14 @@
 #include "ookami/simd/batch.hpp"
 #include "ookami/simd/batch_avx2.hpp"
 #include "ookami/simd/batch_avx512.hpp"
-#include "ookami/simd/batch_sse2.hpp"
 
 namespace ookami::hpcc::detail {
 
 /// Micro-tile width per arch: always one batch, so the register kernel
 /// keeps its MR accumulators in MR vector registers.  The 512-bit arch
 /// takes NR=8 (one zmm per accumulator row — 8 accumulators + the B
-/// vector + the A broadcast use 10 of 32 registers); everything
-/// narrower keeps the 4-column tile that fits 16 ymm/xmm registers.
+/// vector + the A broadcast use 10 of 32 registers); AVX2 keeps the
+/// 4-column tile that fits its 16 ymm registers.
 template <class A>
 struct GemmTile {
   static constexpr std::size_t NR = 4;
@@ -98,11 +97,10 @@ struct PackedGemm {
     for (std::size_t k = 0; k < kc; ++k) {
       const V bv = V::load(bp + k * NR);
       const double* arow = ap + k * MR;
-      // Full unroll keeps the 8 accumulators in registers at -O2; mul_add
-      // (not fma) so SSE2 gets mulpd+addpd instead of per-lane libm fma.
+      // Full unroll keeps the 8 accumulators in registers at -O2.
 #pragma GCC unroll 8
       for (std::size_t i = 0; i < MR; ++i) {
-        acc[i] = simd::mul_add(V::dup(arow[i]), bv, acc[i]);
+        acc[i] = simd::fma(V::dup(arow[i]), bv, acc[i]);
       }
     }
     if (mr == MR && nr == NR) {

@@ -12,9 +12,6 @@
 
 // Pull the per-arch variant-registration TUs out of the static library
 // (they self-register into the kernel registry; nothing else names them).
-#if defined(OOKAMI_SIMD_HAVE_SSE2)
-OOKAMI_DISPATCH_USE_VARIANTS(loops_sse2)
-#endif
 #if defined(OOKAMI_SIMD_HAVE_AVX2)
 OOKAMI_DISPATCH_USE_VARIANTS(loops_avx2)
 #endif

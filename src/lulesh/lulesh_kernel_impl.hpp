@@ -24,7 +24,6 @@
 #include "ookami/simd/batch.hpp"
 #include "ookami/simd/batch_avx2.hpp"
 #include "ookami/simd/batch_avx512.hpp"
-#include "ookami/simd/batch_sse2.hpp"
 
 namespace ookami::lulesh::detail {
 

@@ -12,9 +12,6 @@
 #include "ookami/trace/trace.hpp"
 
 // Pull the per-arch variant-registration TUs out of the static library.
-#if defined(OOKAMI_SIMD_HAVE_SSE2)
-OOKAMI_DISPATCH_USE_VARIANTS(cg_sse2)
-#endif
 #if defined(OOKAMI_SIMD_HAVE_AVX2)
 OOKAMI_DISPATCH_USE_VARIANTS(cg_avx2)
 #endif

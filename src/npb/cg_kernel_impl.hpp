@@ -10,7 +10,6 @@
 #include "ookami/simd/batch.hpp"
 #include "ookami/simd/batch_avx2.hpp"
 #include "ookami/simd/batch_avx512.hpp"
-#include "ookami/simd/batch_sse2.hpp"
 
 namespace ookami::npb::detail {
 
@@ -38,7 +37,7 @@ void spmv_range_impl(const int* rowstr, const int* colidx, const double* a, cons
       // colidx entries are non-negative ints: reinterpreting as uint32
       // matches the gather's index type exactly.
       const V xv = V::gather(all, x, reinterpret_cast<const std::uint32_t*>(colidx + k));
-      acc = simd::mul_add(V::load(a + k), xv, acc);
+      acc = simd::fma(V::load(a + k), xv, acc);
     }
     double sum = simd::reduce_add(acc);
     for (; k < k1; ++k) {

@@ -3,7 +3,7 @@
 //
 // A request is one HTTP POST /run with a small JSON body:
 //
-//   {"kernel": "vecmath.exp", "n": 65536, "seed": 1, "backend": "sse2"}
+//   {"kernel": "vecmath.exp", "n": 65536, "seed": 1, "backend": "avx2"}
 //
 // `kernel` must name an entry of the serving catalog (a subset of the
 // dispatch registry with a deterministic input recipe per kernel),

@@ -69,7 +69,7 @@ ErrorCode parse_request(const std::string& body, Request& out, std::string& erro
   out.has_backend = false;
   if (const json::Value* backend = doc.find("backend"); backend != nullptr) {
     if (!backend->is_string() || !simd::parse_backend(backend->as_string(), out.backend)) {
-      error = "'backend' must be one of scalar/sse2/avx2";
+      error = std::string("'backend' must be one of ") + simd::kBackendNames;
       return ErrorCode::kBadRequest;
     }
     out.has_backend = true;

@@ -1,6 +1,7 @@
 #include "ookami/simd/backend.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
@@ -10,16 +11,6 @@ namespace {
 // -1 == no override; otherwise an encoded Backend forced by ScopedBackend
 // or by OOKAMI_SIMD_BACKEND.
 std::atomic<int> g_override{-1};
-
-bool cpu_supports_sse2() {
-#if defined(__x86_64__)
-  return true;  // architectural baseline
-#elif defined(__i386__)
-  return __builtin_cpu_supports("sse2");
-#else
-  return false;
-#endif
-}
 
 bool cpu_supports_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -44,8 +35,12 @@ Backend env_or_detected() {
     Backend b = detected_backend();
     if (const char* env = std::getenv("OOKAMI_SIMD_BACKEND")) {
       Backend requested;
-      if (parse_backend(env, requested)) b = clamp_backend(requested);
-      // Unknown names fall through to the detected backend.
+      if (parse_backend(env, requested)) {
+        b = clamp_backend(requested);
+      } else {
+        std::fprintf(stderr, "simd: ignoring unknown OOKAMI_SIMD_BACKEND value '%s' (want %s)\n",
+                     env, kBackendNames);
+      }
     }
     return b;
   }();
@@ -58,8 +53,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSse2:
-      return "sse2";
     case Backend::kAvx2:
       return "avx2";
     case Backend::kAvx512:
@@ -71,10 +64,6 @@ const char* backend_name(Backend b) {
 bool parse_backend(std::string_view name, Backend& out) {
   if (name == "scalar") {
     out = Backend::kScalar;
-    return true;
-  }
-  if (name == "sse2") {
-    out = Backend::kSse2;
     return true;
   }
   if (name == "avx2") {
@@ -92,12 +81,6 @@ bool backend_compiled(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return true;
-    case Backend::kSse2:
-#if defined(OOKAMI_SIMD_HAVE_SSE2)
-      return true;
-#else
-      return false;
-#endif
     case Backend::kAvx2:
 #if defined(OOKAMI_SIMD_HAVE_AVX2)
       return true;
@@ -118,8 +101,6 @@ bool backend_supported(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return true;
-    case Backend::kSse2:
-      return cpu_supports_sse2();
     case Backend::kAvx2:
       return cpu_supports_avx2_fma();
     case Backend::kAvx512:
@@ -130,7 +111,7 @@ bool backend_supported(Backend b) {
 
 Backend detected_backend() {
   static Backend cached = [] {
-    for (Backend b : {Backend::kAvx512, Backend::kAvx2, Backend::kSse2})
+    for (Backend b : {Backend::kAvx512, Backend::kAvx2})
       if (backend_compiled(b) && backend_supported(b)) return b;
     return Backend::kScalar;
   }();

@@ -4,7 +4,7 @@
 // Each tag names an instruction-set backend a kernel can be instantiated
 // against.  The scalar tag is always available; the x86 tags are only
 // *defined as usable* inside translation units compiled with the matching
-// instruction-set flags (see batch_sse2.hpp / batch_avx2.hpp, whose batch
+// instruction-set flags (see batch_avx2.hpp / batch_avx512.hpp, whose batch
 // specializations are preprocessor-gated).  Keeping the tags themselves
 // unconditional lets dispatch tables name every backend on every platform
 // while the heavy template instantiations stay confined to the per-arch
@@ -16,9 +16,6 @@ namespace ookami::simd::arch {
 
 /// Portable reference backend: plain per-lane loops, no intrinsics.
 struct scalar {};
-
-/// 128-bit SSE2 (x86-64 baseline).  Two double lanes per register.
-struct sse2 {};
 
 /// 256-bit AVX2 + FMA (x86-64-v3).  Four double lanes per register.
 struct avx2 {};
@@ -32,8 +29,6 @@ template <class A>
 inline constexpr const char* name = "unknown";
 template <>
 inline constexpr const char* name<scalar> = "scalar";
-template <>
-inline constexpr const char* name<sse2> = "sse2";
 template <>
 inline constexpr const char* name<avx2> = "avx2";
 template <>

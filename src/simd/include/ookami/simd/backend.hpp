@@ -7,8 +7,9 @@
 // is, in priority order:
 //
 //   1. a ScopedBackend override (tests forcing a specific backend),
-//   2. the OOKAMI_SIMD_BACKEND environment variable ("scalar", "sse2",
-//      "avx2", "avx512"), read once at first use,
+//   2. the OOKAMI_SIMD_BACKEND environment variable ("scalar", "avx2",
+//      "avx512"), read once at first use; an unknown name is reported on
+//      stderr and ignored,
 //   3. the best compiled-in backend the CPU supports.
 //
 // Requests for a backend that is not compiled in or not supported by the
@@ -22,14 +23,15 @@ namespace ookami::simd {
 
 enum class Backend : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
-/// Stable lower-case name ("scalar", "sse2", "avx2", "avx512") for
-/// env/JSON.
+/// Stable lower-case name ("scalar", "avx2", "avx512") for env/JSON.
 const char* backend_name(Backend b);
+
+/// Every name parse_backend() accepts, for error messages.
+inline constexpr const char* kBackendNames = "scalar, avx2, avx512";
 
 /// Parse a backend name; returns false and leaves `out` untouched on an
 /// unknown name.  Case-sensitive by design: these are JSON/env tokens.

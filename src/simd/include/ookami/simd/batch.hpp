@@ -3,8 +3,8 @@
 //
 // batch<T, N, Arch> is a value of N lanes of T processed as one unit.
 // This header defines the operation set every backend implements, in its
-// plain-loop scalar form; batch_sse2.hpp and batch_avx2.hpp provide the
-// intrinsic specializations for x86.  Kernels are written once as
+// plain-loop scalar form; batch_avx2.hpp and batch_avx512.hpp provide
+// the intrinsic specializations for x86.  Kernels are written once as
 // templates over the Arch tag and instantiated per backend in dedicated
 // translation units (compiled with the matching -m flags), then selected
 // at runtime through ookami::simd::active_backend().
@@ -223,19 +223,6 @@ inline batch<double, N, arch::scalar> fma(const batch<double, N, arch::scalar>& 
                                           const batch<double, N, arch::scalar>& c) {
   batch<double, N, arch::scalar> r;
   for (int i = 0; i < N; ++i) r.v[i] = std::fma(a.v[i], b.v[i], c.v[i]);
-  return r;
-}
-
-/// Fastest a*b + c the backend offers; rounding is UNSPECIFIED (fused on
-/// FMA hardware, two roundings otherwise).  For throughput kernels whose
-/// accuracy contract is tolerance-based, not bit-exact -- use fma() when
-/// single rounding matters.
-template <int N>
-inline batch<double, N, arch::scalar> mul_add(const batch<double, N, arch::scalar>& a,
-                                              const batch<double, N, arch::scalar>& b,
-                                              const batch<double, N, arch::scalar>& c) {
-  batch<double, N, arch::scalar> r;
-  for (int i = 0; i < N; ++i) r.v[i] = a.v[i] * b.v[i] + c.v[i];
   return r;
 }
 

@@ -250,14 +250,6 @@ inline batch<double, N, arch::avx2> fma(const batch<double, N, arch::avx2>& a,
   return o;
 }
 
-/// Fastest a*b + c: the FMA instruction (also single-rounded here).
-template <int N>
-inline batch<double, N, arch::avx2> mul_add(const batch<double, N, arch::avx2>& a,
-                                            const batch<double, N, arch::avx2>& b,
-                                            const batch<double, N, arch::avx2>& c) {
-  return fma(a, b, c);
-}
-
 template <int N>
 inline batch<double, N, arch::avx2> sel(const mask<N, arch::avx2>& pg,
                                         const batch<double, N, arch::avx2>& a,

@@ -250,14 +250,6 @@ inline batch<double, N, arch::avx512> fma(const batch<double, N, arch::avx512>& 
   return o;
 }
 
-/// Fastest a*b + c: the FMA instruction (also single-rounded here).
-template <int N>
-inline batch<double, N, arch::avx512> mul_add(const batch<double, N, arch::avx512>& a,
-                                              const batch<double, N, arch::avx512>& b,
-                                              const batch<double, N, arch::avx512>& c) {
-  return fma(a, b, c);
-}
-
 template <int N>
 inline batch<double, N, arch::avx512> sel(const mask<N, arch::avx512>& pg,
                                           const batch<double, N, arch::avx512>& a,
@@ -426,7 +418,7 @@ inline double reduce_add(const batch<double, N, arch::avx512>& a) {
   // Pairwise, matching the scalar reference's reduction shape: chunk
   // tree first, then 256-bit halves, then the avx2-identical 128-bit
   // tail, so an 8-lane avx512 sum is bit-identical to the 8-lane
-  // scalar/sse2/avx2 sums.
+  // scalar/avx2 sums.
   __m512d acc[batch<double, N, arch::avx512>::kChunks];
   for (int k = 0; k < batch<double, N, arch::avx512>::kChunks; ++k) acc[k] = a.r[k];
   int n = batch<double, N, arch::avx512>::kChunks;

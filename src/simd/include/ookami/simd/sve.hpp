@@ -28,7 +28,6 @@
 #include "ookami/simd/batch.hpp"
 #include "ookami/simd/batch_avx2.hpp"
 #include "ookami/simd/batch_avx512.hpp"
-#include "ookami/simd/batch_sse2.hpp"
 #include "ookami/sve/fexpa.hpp"
 
 namespace ookami::simd {

@@ -1,6 +1,6 @@
 #pragma once
 // Bulk variant registration for one native vecmath backend.  Included
-// only from the per-arch TUs (backend_sse2.cpp, backend_avx2.cpp), each
+// only from the per-arch TUs (backend_avx2.cpp, backend_avx512.cpp), each
 // compiled with the matching instruction set; the instantiation
 // registers every vecmath array kernel under its "vecmath.<fn>" name.
 //

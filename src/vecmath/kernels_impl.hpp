@@ -13,7 +13,7 @@
 // down per function.
 //
 // This header is private to the vecmath module: it is included only by
-// the per-arch backend TUs (backend_sse2.cpp, backend_avx2.cpp), each
+// the per-arch backend TUs (backend_avx2.cpp, backend_avx512.cpp), each
 // compiled with the matching instruction-set flags.
 
 #include <cmath>

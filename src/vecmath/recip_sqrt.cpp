@@ -7,9 +7,6 @@
 #include "ookami/sve/fexpa.hpp"
 
 // Pull the per-arch variant-registration TUs out of the static library.
-#if defined(OOKAMI_SIMD_HAVE_SSE2)
-OOKAMI_DISPATCH_USE_VARIANTS(vecmath_sse2)
-#endif
 #if defined(OOKAMI_SIMD_HAVE_AVX2)
 OOKAMI_DISPATCH_USE_VARIANTS(vecmath_avx2)
 #endif

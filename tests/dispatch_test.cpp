@@ -48,11 +48,11 @@ TEST(GlobMatch, Basics) {
 
 TEST(ParseOverrides, WellFormedSpec) {
   std::vector<std::string> errors;
-  const OverrideSet set = parse_overrides("hpcc.dgemm=sse2, vecmath.*=scalar", &errors);
+  const OverrideSet set = parse_overrides("hpcc.dgemm=avx2, vecmath.*=scalar", &errors);
   EXPECT_TRUE(errors.empty());
   ASSERT_EQ(set.rules.size(), 2u);
   EXPECT_EQ(set.rules[0].pattern, "hpcc.dgemm");
-  EXPECT_EQ(set.rules[0].backend, Backend::kSse2);
+  EXPECT_EQ(set.rules[0].backend, Backend::kAvx2);
   EXPECT_FALSE(set.rules[0].is_glob);
   EXPECT_EQ(set.rules[1].pattern, "vecmath.*");
   EXPECT_EQ(set.rules[1].backend, Backend::kScalar);
@@ -62,18 +62,20 @@ TEST(ParseOverrides, WellFormedSpec) {
 
 TEST(ParseOverrides, MalformedEntriesAreSkippedNotFatal) {
   std::vector<std::string> errors;
-  // Four malformed entries (missing '=', empty pattern, empty backend,
-  // unknown backend) around one valid rule.
-  const OverrideSet set =
-      parse_overrides("foo, =avx2, hpcc.dgemm=, loops.fig1=neon, vecmath.exp=avx2", &errors);
+  // Five malformed entries (missing '=', empty pattern, empty backend,
+  // two unknown backends, one of them a removed tier) around one valid
+  // rule.
+  const OverrideSet set = parse_overrides(
+      "foo, =avx2, hpcc.dgemm=, loops.fig1=neon, x=sse2, vecmath.exp=avx2", &errors);
   ASSERT_EQ(set.rules.size(), 1u);
   EXPECT_EQ(set.rules[0].pattern, "vecmath.exp");
   EXPECT_EQ(set.rules[0].backend, Backend::kAvx2);
-  ASSERT_EQ(errors.size(), 4u);
+  ASSERT_EQ(errors.size(), 5u);
   EXPECT_NE(errors[0].find("missing '='"), std::string::npos);
   EXPECT_NE(errors[1].find("empty kernel pattern"), std::string::npos);
   EXPECT_NE(errors[2].find("empty backend name"), std::string::npos);
   EXPECT_NE(errors[3].find("unknown backend"), std::string::npos);
+  EXPECT_NE(errors[4].find("unknown backend"), std::string::npos);
 }
 
 TEST(ParseOverrides, EmptyAndWhitespaceSpecs) {
@@ -82,10 +84,10 @@ TEST(ParseOverrides, EmptyAndWhitespaceSpecs) {
   EXPECT_TRUE(parse_overrides(" , ,, ", &errors).empty());
   EXPECT_TRUE(errors.empty());
   // Whitespace around tokens is trimmed.
-  const OverrideSet set = parse_overrides("  vecmath.exp = sse2  ", &errors);
+  const OverrideSet set = parse_overrides("  vecmath.exp = avx512  ", &errors);
   ASSERT_EQ(set.rules.size(), 1u);
   EXPECT_EQ(set.rules[0].pattern, "vecmath.exp");
-  EXPECT_EQ(set.rules[0].backend, Backend::kSse2);
+  EXPECT_EQ(set.rules[0].backend, Backend::kAvx512);
 }
 
 // --- override.hpp: lookup precedence ------------------------------------
@@ -106,23 +108,23 @@ TEST(OverrideLookup, ExactBeatsGlobRegardlessOfOrder) {
 
 TEST(OverrideLookup, MoreSpecificGlobWins) {
   Backend out = Backend::kScalar;
-  const OverrideSet set = parse_overrides("*=scalar, vecmath.*=sse2, vecmath.exp*=avx2");
+  const OverrideSet set = parse_overrides("*=scalar, vecmath.*=avx2, vecmath.exp*=avx512");
   ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx2);  // "vecmath.exp*": most literal characters
+  EXPECT_EQ(out, Backend::kAvx512);  // "vecmath.exp*": most literal characters
   ASSERT_TRUE(set.lookup("vecmath.log", out));
-  EXPECT_EQ(out, Backend::kSse2);
+  EXPECT_EQ(out, Backend::kAvx2);
   ASSERT_TRUE(set.lookup("npb.cg.spmv", out));
   EXPECT_EQ(out, Backend::kScalar);
 }
 
 TEST(OverrideLookup, LaterRuleWinsTies) {
   Backend out = Backend::kScalar;
-  OverrideSet set = parse_overrides("vecmath.exp=sse2, vecmath.exp=avx2");
+  OverrideSet set = parse_overrides("vecmath.exp=avx2, vecmath.exp=avx512");
   ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx2);  // appending refines an existing spec
-  set = parse_overrides("vecmath.exp=avx2, vecmath.exp=sse2");
+  EXPECT_EQ(out, Backend::kAvx512);  // appending refines an existing spec
+  set = parse_overrides("vecmath.exp=avx512, vecmath.exp=avx2");
   ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kSse2);
+  EXPECT_EQ(out, Backend::kAvx2);
 }
 
 TEST(OverrideLookup, NoMatch) {
@@ -137,34 +139,35 @@ TEST(OverrideLookup, NoMatch) {
 
 // Distinct tag results so the tests can tell which variant resolved.
 using TagFn = int();
-int tag_alpha_sse2() { return 102; }
-int tag_alpha_avx2() { return 103; }
-int tag_beta_sse2() { return 202; }
+int tag_alpha_avx2() { return 102; }
+int tag_alpha_avx512() { return 103; }
+int tag_beta_avx2() { return 202; }
 
-bool sse2_ready() {
-  return simd::backend_compiled(Backend::kSse2) && simd::backend_supported(Backend::kSse2);
-}
 bool avx2_ready() {
   return simd::backend_compiled(Backend::kAvx2) && simd::backend_supported(Backend::kAvx2);
 }
+bool avx512_ready() {
+  return simd::backend_compiled(Backend::kAvx512) && simd::backend_supported(Backend::kAvx512);
+}
 
 /// Registers the throwaway kernels exactly once per process:
-///   test.alpha: sse2 + avx2 variants and an equivalence check
-///   test.beta:  sse2 only
+///   test.alpha: avx2 + avx512 variants and an equivalence check
+///   test.beta:  avx2 only
 ///   test.gamma: declared (call site exists) but no native variant
 double alpha_check(Backend) { return 0.25; }
 
 const kernel_table<TagFn>& alpha_table() {
   static const kernel_table<TagFn> t("test.alpha");
-  static const variant_registrar<TagFn> sse2("test.alpha", Backend::kSse2, &tag_alpha_sse2);
   static const variant_registrar<TagFn> avx2("test.alpha", Backend::kAvx2, &tag_alpha_avx2);
+  static const variant_registrar<TagFn> avx512("test.alpha", Backend::kAvx512,
+                                                &tag_alpha_avx512);
   static const check_registrar chk("test.alpha", &alpha_check, 0.5);
   return t;
 }
 
 const kernel_table<TagFn>& beta_table() {
   static const kernel_table<TagFn> t("test.beta");
-  static const variant_registrar<TagFn> sse2("test.beta", Backend::kSse2, &tag_beta_sse2);
+  static const variant_registrar<TagFn> avx2("test.beta", Backend::kAvx2, &tag_beta_avx2);
   return t;
 }
 
@@ -193,55 +196,55 @@ TEST_F(RegistryTest, ScalarResolutionReturnsNull) {
 }
 
 TEST_F(RegistryTest, ResolvesForcedBackend) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
-  simd::ScopedBackend force(Backend::kSse2);
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
+  simd::ScopedBackend force(Backend::kAvx2);
   Backend used = Backend::kScalar;
   TagFn* fn = alpha_table().resolve(used);
   ASSERT_NE(fn, nullptr);
   EXPECT_EQ(fn(), 102);
-  EXPECT_EQ(used, Backend::kSse2);
+  EXPECT_EQ(used, Backend::kAvx2);
 }
 
 TEST_F(RegistryTest, WalksDownToBestRegisteredVariant) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  // test.beta has no avx2 variant: an avx2 request walks down to sse2.
-  simd::ScopedBackend force(Backend::kAvx2);
+  if (!avx512_ready()) GTEST_SKIP() << "avx512 backend not compiled/supported";
+  // test.beta has no avx512 variant: an avx512 request walks down to avx2.
+  simd::ScopedBackend force(Backend::kAvx512);
   Backend used = Backend::kScalar;
   TagFn* fn = beta_table().resolve(used);
   ASSERT_NE(fn, nullptr);
   EXPECT_EQ(fn(), 202);
-  EXPECT_EQ(used, Backend::kSse2);
+  EXPECT_EQ(used, Backend::kAvx2);
 }
 
 TEST_F(RegistryTest, PerKernelOverrideSelectsBackend) {
-  if (!sse2_ready() || !avx2_ready()) GTEST_SKIP() << "need both native backends";
-  set_overrides_for_testing(parse_overrides("test.alpha=sse2"));
+  if (!avx2_ready() || !avx512_ready()) GTEST_SKIP() << "need both native backends";
+  set_overrides_for_testing(parse_overrides("test.alpha=avx2"));
   Backend used = Backend::kScalar;
   TagFn* fn = alpha_table().resolve(used);
   ASSERT_NE(fn, nullptr);
-  EXPECT_EQ(fn(), 102);  // sse2 although avx2 is available
-  EXPECT_EQ(used, Backend::kSse2);
-  EXPECT_EQ(resolved_backend("test.alpha"), Backend::kSse2);
+  EXPECT_EQ(fn(), 102);  // avx2 although avx512 is available
+  EXPECT_EQ(used, Backend::kAvx2);
+  EXPECT_EQ(resolved_backend("test.alpha"), Backend::kAvx2);
 }
 
 TEST_F(RegistryTest, HeterogeneousDispatchInOneProcess) {
-  if (!sse2_ready() || !avx2_ready()) GTEST_SKIP() << "need both native backends";
+  if (!avx2_ready() || !avx512_ready()) GTEST_SKIP() << "need both native backends";
   // One process, three kernels, three different backends.
-  set_overrides_for_testing(parse_overrides("test.*=avx2, test.beta=sse2, test.gamma=scalar"));
+  set_overrides_for_testing(parse_overrides("test.*=avx512, test.beta=avx2, test.gamma=scalar"));
   Backend used_a = Backend::kScalar, used_b = Backend::kScalar;
   TagFn* a = alpha_table().resolve(used_a);
   TagFn* b = beta_table().resolve(used_b);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a(), 103);  // avx2 via the glob
-  EXPECT_EQ(b(), 202);  // sse2 via the exact rule
-  EXPECT_EQ(used_a, Backend::kAvx2);
-  EXPECT_EQ(used_b, Backend::kSse2);
+  EXPECT_EQ(a(), 103);  // avx512 via the glob
+  EXPECT_EQ(b(), 202);  // avx2 via the exact rule
+  EXPECT_EQ(used_a, Backend::kAvx512);
+  EXPECT_EQ(used_b, Backend::kAvx2);
   EXPECT_EQ(gamma_table().resolve(), nullptr);  // forced scalar
 }
 
 TEST_F(RegistryTest, OverrideForScalarBeatsGlobalBackend) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   set_overrides_for_testing(parse_overrides("test.alpha=scalar"));
   // No ScopedBackend: the global backend is native, the rule says scalar.
   EXPECT_EQ(alpha_table().resolve(), nullptr);
@@ -249,30 +252,30 @@ TEST_F(RegistryTest, OverrideForScalarBeatsGlobalBackend) {
 }
 
 TEST_F(RegistryTest, ScopedBackendOutranksPerKernelRule) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
-  set_overrides_for_testing(parse_overrides("test.alpha=sse2"));
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
+  set_overrides_for_testing(parse_overrides("test.alpha=avx2"));
   simd::ScopedBackend force(Backend::kScalar);
   EXPECT_EQ(alpha_table().resolve(), nullptr);  // the test override wins
 }
 
 TEST_F(RegistryTest, OverrideClampsToSupportedVariant) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
-  // Request avx2 for a kernel that only registered sse2: walk down, do
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
+  // Request avx512 for a kernel that only registered avx2: walk down, do
   // not fail — the clamping philosophy of the SIMD layer, per kernel.
-  set_overrides_for_testing(parse_overrides("test.beta=avx2"));
+  set_overrides_for_testing(parse_overrides("test.beta=avx512"));
   Backend used = Backend::kScalar;
   TagFn* fn = beta_table().resolve(used);
   ASSERT_NE(fn, nullptr);
   EXPECT_EQ(fn(), 202);
-  EXPECT_EQ(used, Backend::kSse2);
+  EXPECT_EQ(used, Backend::kAvx2);
 }
 
 TEST_F(RegistryTest, UnknownKernelRuleIsHarmless) {
   set_overrides_for_testing(parse_overrides("no.such.kernel=avx2"));
   EXPECT_EQ(resolved_backend("no.such.kernel"), Backend::kScalar);
   // Other kernels are unaffected.
-  if (sse2_ready()) {
-    simd::ScopedBackend force(Backend::kSse2);
+  if (avx2_ready()) {
+    simd::ScopedBackend force(Backend::kAvx2);
     EXPECT_NE(alpha_table().resolve(), nullptr);
   }
 }
@@ -287,8 +290,8 @@ TEST_F(RegistryTest, IntrospectionListsTestKernels) {
       EXPECT_TRUE(k.has_check);
       EXPECT_DOUBLE_EQ(k.check_tolerance, 0.5);
       std::vector<Backend> want;
-      if (simd::backend_compiled(Backend::kSse2)) want.push_back(Backend::kSse2);
       if (simd::backend_compiled(Backend::kAvx2)) want.push_back(Backend::kAvx2);
+      if (simd::backend_compiled(Backend::kAvx512)) want.push_back(Backend::kAvx512);
       EXPECT_EQ(k.variants, want);
     }
     if (k.name == "test.gamma") {
@@ -304,24 +307,24 @@ TEST_F(RegistryTest, IntrospectionListsTestKernels) {
   CheckFn fn = check("test.alpha", &tol);
   ASSERT_NE(fn, nullptr);
   EXPECT_DOUBLE_EQ(tol, 0.5);
-  EXPECT_DOUBLE_EQ(fn(Backend::kSse2), 0.25);
+  EXPECT_DOUBLE_EQ(fn(Backend::kAvx2), 0.25);
   EXPECT_EQ(check("test.gamma"), nullptr);
 }
 
 TEST_F(RegistryTest, ManifestFormat) {
   const std::string m = manifest();
   EXPECT_NE(m.find("test.gamma\tscalar\n"), std::string::npos);
-  if (sse2_ready() && avx2_ready()) {
-    EXPECT_NE(m.find("test.alpha\tscalar,sse2,avx2\n"), std::string::npos);
-    EXPECT_NE(m.find("test.beta\tscalar,sse2\n"), std::string::npos);
+  if (avx2_ready() && avx512_ready()) {
+    EXPECT_NE(m.find("test.alpha\tscalar,avx2,avx512\n"), std::string::npos);
+    EXPECT_NE(m.find("test.beta\tscalar,avx2\n"), std::string::npos);
   }
 }
 
 // --- registry.hpp: series observation -----------------------------------
 
 TEST_F(RegistryTest, ObservationRecordsResolvedKernels) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
-  simd::ScopedBackend force(Backend::kSse2);
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
+  simd::ScopedBackend force(Backend::kAvx2);
   begin_observation();
   (void)alpha_table().resolve();
   (void)gamma_table().resolve();  // scalar resolutions are recorded too
@@ -329,7 +332,7 @@ TEST_F(RegistryTest, ObservationRecordsResolvedKernels) {
   const auto observed = take_observation();
   ASSERT_EQ(observed.size(), 2u);  // sorted by kernel name
   EXPECT_EQ(observed[0].kernel, "test.alpha");
-  EXPECT_EQ(observed[0].backend, Backend::kSse2);
+  EXPECT_EQ(observed[0].backend, Backend::kAvx2);
   EXPECT_EQ(observed[0].provenance, Provenance::kScoped);
   EXPECT_EQ(observed[1].kernel, "test.gamma");
   EXPECT_EQ(observed[1].backend, Backend::kScalar);
@@ -342,18 +345,18 @@ TEST_F(RegistryTest, ObservationRecordsResolvedKernels) {
 
 // --- autotune.hpp: empirical per-size-class winner selection -------------
 
-// test.delta registers one native variant (sse2) plus a deterministic
-// calibration probe that always ranks sse2 ahead of scalar, so the
+// test.delta registers one native variant (avx2) plus a deterministic
+// calibration probe that always ranks avx2 ahead of scalar, so the
 // autotuned winner is machine-independent.
-int tag_delta_sse2() { return 302; }
+int tag_delta_avx2() { return 302; }
 
 double delta_tune(Backend b, std::size_t /*n*/) {
-  return b == Backend::kSse2 ? 1e-6 : 2e-6;
+  return b == Backend::kAvx2 ? 1e-6 : 2e-6;
 }
 
 const kernel_table<TagFn>& delta_table() {
   static const kernel_table<TagFn> t("test.delta");
-  static const variant_registrar<TagFn> sse2("test.delta", Backend::kSse2, &tag_delta_sse2);
+  static const variant_registrar<TagFn> avx2("test.delta", Backend::kAvx2, &tag_delta_avx2);
   static const tune_registrar tune("test.delta", &delta_tune);
   return t;
 }
@@ -388,13 +391,13 @@ TEST(AutotuneSizeClass, Log2Buckets) {
 }
 
 TEST_F(AutotuneTest, FirstSizedResolveCalibratesThenCaches) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   ASSERT_EQ(calibration_count(), 0u);
   Backend used = Backend::kScalar;
   TagFn* fn = delta_table().resolve(1000, used);
   ASSERT_NE(fn, nullptr);
   EXPECT_EQ(fn(), 302);
-  EXPECT_EQ(used, Backend::kSse2);
+  EXPECT_EQ(used, Backend::kAvx2);
   EXPECT_EQ(calibration_count(), 1u);
   // Same size-class (floor(log2) == 9): pure table hit.
   (void)delta_table().resolve(513, used);
@@ -410,30 +413,30 @@ TEST_F(AutotuneTest, FirstSizedResolveCalibratesThenCaches) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].kernel, "test.delta");
   EXPECT_EQ(rows[0].size_class, 9);
-  EXPECT_EQ(rows[0].winner, Backend::kSse2);
-  ASSERT_EQ(rows[0].measured.size(), 2u);  // scalar + sse2 candidates
+  EXPECT_EQ(rows[0].winner, Backend::kAvx2);
+  ASSERT_EQ(rows[0].measured.size(), 2u);  // scalar + avx2 candidates
   EXPECT_EQ(rows[1].size_class, 16);
 }
 
 TEST_F(AutotuneTest, ObservationReportsAutotuneProvenance) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   begin_observation();
   (void)delta_table().resolve(1000);
   const auto observed = take_observation();
   ASSERT_EQ(observed.size(), 1u);
   EXPECT_EQ(observed[0].kernel, "test.delta");
-  EXPECT_EQ(observed[0].backend, Backend::kSse2);
+  EXPECT_EQ(observed[0].backend, Backend::kAvx2);
   EXPECT_EQ(observed[0].provenance, Provenance::kAutotune);
 }
 
 TEST_F(AutotuneTest, UnsizedResolveNeverCalibrates) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   (void)delta_table().resolve();
   EXPECT_EQ(calibration_count(), 0u);
 }
 
 TEST_F(AutotuneTest, ScopedBackendAndEnvRuleOutrankAutotune) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   {
     // Precedence 1: a ScopedBackend skips autotune entirely (this is
     // also what keeps TuneFn-owned calibration from recursing).
@@ -453,13 +456,13 @@ TEST_F(AutotuneTest, ScopedBackendAndEnvRuleOutrankAutotune) {
 }
 
 TEST_F(AutotuneTest, KillSwitchFallsBackToCeiling) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   set_autotune_enabled_for_testing(0);  // what OOKAMI_AUTOTUNE=0 does
   begin_observation();
   Backend used = Backend::kScalar;
   TagFn* fn = delta_table().resolve(1000, used);
-  ASSERT_NE(fn, nullptr);          // ceiling still clamps into sse2
-  EXPECT_EQ(used, Backend::kSse2);
+  ASSERT_NE(fn, nullptr);          // ceiling still clamps into avx2
+  EXPECT_EQ(used, Backend::kAvx2);
   EXPECT_EQ(calibration_count(), 0u);
   const auto observed = take_observation();
   ASSERT_EQ(observed.size(), 1u);
@@ -467,7 +470,7 @@ TEST_F(AutotuneTest, KillSwitchFallsBackToCeiling) {
 }
 
 TEST_F(AutotuneTest, PersistenceRoundTrip) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   const std::string path = tmp_path("ookami_tune_roundtrip.json");
   (void)delta_table().resolve(1000);
   ASSERT_EQ(calibration_count(), 1u);
@@ -481,17 +484,17 @@ TEST_F(AutotuneTest, PersistenceRoundTrip) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].kernel, "test.delta");
   EXPECT_EQ(rows[0].size_class, 9);
-  EXPECT_EQ(rows[0].winner, Backend::kSse2);
+  EXPECT_EQ(rows[0].winner, Backend::kAvx2);
   // The loaded table is a warm cache: resolving again re-measures nothing.
   Backend used = Backend::kScalar;
   (void)delta_table().resolve(1000, used);
-  EXPECT_EQ(used, Backend::kSse2);
+  EXPECT_EQ(used, Backend::kAvx2);
   EXPECT_EQ(calibration_count(), 0u);
   std::remove(path.c_str());
 }
 
 TEST_F(AutotuneTest, EnvFileMakesSecondRunFullyWarm) {
-  if (!sse2_ready()) GTEST_SKIP() << "sse2 backend not compiled/supported";
+  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
   const std::string path = tmp_path("ookami_tune_warm.json");
   std::remove(path.c_str());
   setenv("OOKAMI_TUNE_FILE", path.c_str(), 1);
@@ -503,7 +506,7 @@ TEST_F(AutotuneTest, EnvFileMakesSecondRunFullyWarm) {
   reset_autotune_for_testing();
   Backend used = Backend::kScalar;
   (void)delta_table().resolve(1000, used);
-  EXPECT_EQ(used, Backend::kSse2);
+  EXPECT_EQ(used, Backend::kAvx2);
   EXPECT_EQ(calibration_count(), 0u);
   std::remove(path.c_str());
 }
@@ -532,6 +535,21 @@ TEST_F(AutotuneTest, StrictLoadRejectsMalformedAndUnversionedFiles) {
   error.clear();
   EXPECT_FALSE(load_tune_file(path, &error));
   EXPECT_TRUE(tuning_table().empty());
+  // A table tuned by a build that still had a since-removed backend: a
+  // row naming it as winner or in measured_us rejects the whole file,
+  // valid rows included.
+  for (const char* stale :
+       {R"({"kernel": "k", "size_class": 3, "winner": "sse2"})",
+        R"({"kernel": "k", "size_class": 3, "winner": "avx2", )"
+        R"("measured_us": {"scalar": 2.0, "sse2": 1.5, "avx2": 1.0}})"}) {
+    std::ofstream(path) << R"({"schema": "ookami-tune-1", "entries": [)"
+                        << R"({"kernel": "ok", "size_class": 4, "winner": "scalar"}, )" << stale
+                        << "]}";
+    error.clear();
+    EXPECT_FALSE(load_tune_file(path, &error)) << stale;
+    EXPECT_NE(error.find("backend"), std::string::npos) << error;
+    EXPECT_TRUE(tuning_table().empty()) << stale;
+  }
   std::remove(path.c_str());
 }
 

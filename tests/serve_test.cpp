@@ -199,6 +199,13 @@ TEST(Protocol, ParseRequestReportsTypedErrors) {
             ErrorCode::kBadRequest);
   EXPECT_EQ(parse_request("{\"kernel\": \"x\", \"n\": 4, \"backend\": \"neon\"}", req, err),
             ErrorCode::kBadRequest);
+  // A removed backend is rejected with an error that lists the current ones.
+  EXPECT_EQ(parse_request("{\"kernel\": \"x\", \"n\": 4, \"backend\": \"sse2\"}", req, err),
+            ErrorCode::kBadRequest);
+  EXPECT_NE(err.find("avx512"), std::string::npos) << err;
+  ASSERT_EQ(parse_request("{\"kernel\": \"x\", \"n\": 4, \"backend\": \"avx512\"}", req, err),
+            ErrorCode::kNone);
+  EXPECT_EQ(req.backend, simd::Backend::kAvx512);
 
   ASSERT_EQ(parse_request("{\"kernel\": \"vecmath.exp\", \"n\": 64, \"seed\": 9, "
                           "\"backend\": \"scalar\"}",

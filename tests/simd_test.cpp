@@ -5,9 +5,10 @@
 // estimate-op bit cross-check against the sve reference, and the hot
 // kernels (DGEMM, fig1 loops) forced onto every backend.
 //
-// The templated check bodies live in simd_test_checks.hpp; the AVX2
-// instantiations are built in simd_test_avx2.cpp with -mavx2/-mfma
-// because the avx2 batch specializations only exist under those flags.
+// The templated check bodies live in simd_test_checks.hpp; the AVX2 and
+// AVX-512 instantiations are built in simd_test_avx2.cpp and
+// simd_test_avx512.cpp with their ISA flags, because those batch
+// specializations only exist under the flags.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(Backend, NamesRoundTrip) {
-  for (Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2, Backend::kAvx512}) {
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
     Backend parsed{};
     ASSERT_TRUE(parse_backend(backend_name(b), parsed));
     EXPECT_EQ(parsed, b);
@@ -44,7 +45,7 @@ TEST(Backend, ScalarIsAlwaysAvailable) {
 }
 
 TEST(Backend, ClampNeverExceedsRequest) {
-  for (Backend req : {Backend::kScalar, Backend::kSse2, Backend::kAvx2, Backend::kAvx512}) {
+  for (Backend req : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
     const Backend got = clamp_backend(req);
     EXPECT_LE(static_cast<int>(got), static_cast<int>(req));
     EXPECT_TRUE(backend_compiled(got));
@@ -84,15 +85,6 @@ TEST(GatherScatter, Scalar) { testing::expect_gather_scatter_edges<arch::scalar>
 TEST(FexpaBits, Scalar) { testing::expect_fexpa_bit_identical<arch::scalar>(); }
 TEST(EstimateOps, Scalar) { testing::expect_estimates_bit_identical<arch::scalar>(); }
 
-// SSE2 is the x86-64 baseline, so these instantiate in this TU.
-#if defined(OOKAMI_SIMD_HAVE_SSE2)
-TEST(BatchOps, Sse2MatchesScalar) { testing::expect_batch_matches_scalar<arch::sse2>(); }
-TEST(BatchPredication, Sse2) { testing::expect_whilelt_and_tail<arch::sse2>(); }
-TEST(GatherScatter, Sse2) { testing::expect_gather_scatter_edges<arch::sse2>(); }
-TEST(FexpaBits, Sse2) { testing::expect_fexpa_bit_identical<arch::sse2>(); }
-TEST(EstimateOps, Sse2) { testing::expect_estimates_bit_identical<arch::sse2>(); }
-#endif
-
 #if defined(OOKAMI_SIMD_HAVE_AVX2)
 #define OOKAMI_AVX2_TEST(suite, name, fn)                                 \
   TEST(suite, name) {                                                     \
@@ -128,7 +120,7 @@ OOKAMI_AVX512_TEST(EstimateOps, Avx512, avx512_estimates_bit_identical)
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> v = {Backend::kScalar};
-  for (Backend b : {Backend::kSse2, Backend::kAvx2, Backend::kAvx512}) {
+  for (Backend b : {Backend::kAvx2, Backend::kAvx512}) {
     if (backend_compiled(b) && backend_supported(b)) v.push_back(b);
   }
   return v;

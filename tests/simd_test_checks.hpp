@@ -1,10 +1,10 @@
 #pragma once
-// Arch-templated check bodies shared between simd_test.cpp (scalar and
-// SSE2 instantiations — both compile under baseline flags) and
-// simd_test_avx2.cpp (AVX2 instantiations, which need a TU compiled
-// with -mavx2/-mfma because the avx2 batch specializations are
-// preprocessor-gated on __AVX2__).  The gtest EXPECT/ASSERT macros work
-// from any TU linked into the test binary.
+// Arch-templated check bodies shared between simd_test.cpp (scalar
+// instantiations, under baseline flags) and simd_test_avx2.cpp /
+// simd_test_avx512.cpp (native instantiations, which need a TU compiled
+// with the ISA flags because those batch specializations are
+// preprocessor-gated on __AVX2__ / __AVX512F__).  The gtest
+// EXPECT/ASSERT macros work from any TU linked into the test binary.
 
 #include <gtest/gtest.h>
 

@@ -36,7 +36,7 @@ using simd::ScopedBackend;
 
 std::vector<Backend> native_backends() {
   std::vector<Backend> v;
-  for (Backend b : {Backend::kSse2, Backend::kAvx2}) {
+  for (Backend b : {Backend::kAvx2, Backend::kAvx512}) {
     if (simd::backend_compiled(b) && simd::backend_supported(b)) v.push_back(b);
   }
   return v;

@@ -1,7 +1,7 @@
 // kernel_registry — introspection CLI over the process-wide kernel
 // registry (src/dispatch).
 //
-//   kernel_registry             # manifest: name<TAB>scalar[,sse2[,avx2]]
+//   kernel_registry             # manifest: name<TAB>scalar[,avx2[,avx512]]
 //   kernel_registry --resolved  # name<TAB>backend the kernel resolves to
 //                               # right now (honours OOKAMI_SIMD_BACKEND,
 //                               # OOKAMI_KERNEL_BACKEND and CPUID clamping)
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   if (cli.has("help")) {
     std::printf(
         "usage: %s [--resolved | --checks | --tune [--machine M]]\n"
-        "  (default)   kernel manifest: name<TAB>scalar[,sse2[,avx2[,avx512]]]\n"
+        "  (default)   kernel manifest: name<TAB>scalar[,avx2[,avx512]]\n"
         "  --resolved  backend each kernel resolves to right now\n"
         "  --checks    registered equivalence-check tolerance per kernel\n"
         "  --tune      autotune table (kernel, size-class, winner, measured us,\n"
