@@ -101,8 +101,12 @@ struct DiffusionProblem {
   /// Initialize u to exact on the boundary, a perturbed state inside.
   void initialize(Field& u) const;
 
-  /// Max-norm error vs the manufactured solution over interior points.
+  /// Max-norm error vs the manufactured solution over interior points;
+  /// NaN if any interior value is NaN.
   double error(const Field& u) const;
+
+  /// The BT/SP/LU pass rule for final error `err` from initial `err0`.
+  static bool verified(double err, double err0);
 
   /// Root-mean-square of the steady-state residual over interior points.
   double residual_rms(const Field& u) const;

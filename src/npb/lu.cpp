@@ -152,11 +152,7 @@ Result run_lu(Class cls, unsigned threads) {
   res.seconds = timer.elapsed();
   const double err = p.error(u);
   res.check_value = err;
-  // Pass: at least three orders of magnitude of error contraction
-  // toward the manufactured steady state (the class-S iteration counts
-  // give ~2.6e3x for BT, ~1e4x for LU, ~1e5x for SP; deeper classes
-  // converge further).
-  res.verified = err <= 1e-8 || err <= 1e-3 * err0;
+  res.verified = DiffusionProblem::verified(err, err0);
   res.detail = "max-norm error vs manufactured steady state (initial " +
                std::to_string(err0) + ")";
   const double pts = static_cast<double>(ni) * ni * ni;

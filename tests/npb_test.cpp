@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ookami/npb/cg.hpp"
 #include "ookami/npb/ep.hpp"
+#include "ookami/npb/grid.hpp"
 #include "ookami/npb/npb.hpp"
 #include "ookami/npb/randdp.hpp"
 
@@ -147,6 +150,42 @@ TEST_P(GridSolverTest, ThreadCountInvariance) {
 INSTANTIATE_TEST_SUITE_P(Solvers, GridSolverTest,
                          ::testing::Values(Benchmark::kBT, Benchmark::kSP, Benchmark::kLU),
                          [](const auto& info) { return benchmark_name(info.param); });
+
+// The verification BT/SP/LU share: the max-norm error against the
+// manufactured solution and the pass rule over it.  One NaN interior
+// point must fail it; a finite field's error is the plain max-norm.
+TEST(DiffusionError, OneNanInteriorPointFailsVerification) {
+  const DiffusionProblem p(12);
+  Field u(12);
+  p.initialize(u);
+  double max_norm = 0.0;
+  for (int i = 1; i < 11; ++i) {
+    for (int j = 1; j < 11; ++j) {
+      for (int k = 1; k < 11; ++k) {
+        const Vec5 e = p.exact(i, j, k);
+        for (int m = 0; m < kNc; ++m) {
+          const double d = std::fabs(u.at(i, j, k, m) - e[static_cast<std::size_t>(m)]);
+          max_norm = std::max(max_norm, d);
+        }
+      }
+    }
+  }
+  const double err0 = p.error(u);
+  EXPECT_GT(err0, 0.0);
+  EXPECT_EQ(err0, max_norm);
+
+  for (int i = 0; i < 12; ++i) {
+    for (int j = 0; j < 12; ++j) {
+      for (int k = 0; k < 12; ++k) u.set(i, j, k, p.exact(i, j, k));
+    }
+  }
+  EXPECT_EQ(p.error(u), 0.0);
+  EXPECT_TRUE(DiffusionProblem::verified(p.error(u), err0));
+  u.at(3, 7, 5, 2) = std::numeric_limits<double>::quiet_NaN();
+  const double err = p.error(u);
+  EXPECT_FALSE(std::isfinite(err));
+  EXPECT_FALSE(DiffusionProblem::verified(err, err0));
+}
 
 // --- UA ------------------------------------------------------------------------
 

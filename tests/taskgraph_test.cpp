@@ -347,5 +347,9 @@ TEST(TaskGraphEquivalence, NpbSpGraphBitIdenticalToBarrierAtEveryThreadCount) {
     const auto graph = npb::run_sp(npb::Class::kS, threads, tg::Exec::kGraph);
     EXPECT_TRUE(graph.verified) << "threads=" << threads;
     EXPECT_TRUE(bits_equal(graph.check_value, ref.check_value)) << "threads=" << threads;
+    if (threads == 1) continue;
+    const auto barrier = npb::run_sp(npb::Class::kS, threads, tg::Exec::kBarrier);
+    EXPECT_TRUE(barrier.verified) << "barrier threads=" << threads;
+    EXPECT_TRUE(bits_equal(barrier.check_value, ref.check_value)) << "barrier threads=" << threads;
   }
 }
