@@ -68,6 +68,11 @@ private:
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Max fold for check values that stays NaN once it sees a NaN.
+/// std::max(worst, d) keeps `worst` when d is NaN (the comparison is
+/// false), so a NaN result would pass a `worst <= tol` check.
+inline double nan_max(double worst, double d) { return (std::isnan(d) || d > worst) ? d : worst; }
+
 /// Relative difference |a-b| / max(|a|,|b|,eps); convenient for tests.
 inline double rel_diff(double a, double b) {
   const double scale = std::max({std::abs(a), std::abs(b), 1e-300});

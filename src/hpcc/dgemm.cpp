@@ -4,6 +4,7 @@
 
 #include "ookami/common/aligned.hpp"
 #include "ookami/common/rng.hpp"
+#include "ookami/common/stats.hpp"
 #include "ookami/common/timer.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/hpcc/hpcc.hpp"
@@ -134,7 +135,7 @@ double check_gemm(simd::Backend bk) {
       dgemm(impl, n, a.data(), b.data(), got.data(), pool);
     }
     for (std::size_t i = 0; i < n * n; ++i) {
-      worst = std::max(worst, std::fabs(ref[i] - got[i]));
+      worst = nan_max(worst, std::fabs(ref[i] - got[i]));
     }
   }
   return worst;
@@ -195,7 +196,7 @@ double dgemm_check(GemmImpl impl, std::size_t n, unsigned threads) {
   gemm_naive(n, a.data(), b.data(), ref.data());
   dgemm(impl, n, a.data(), b.data(), c.data(), pool);
   double worst = 0.0;
-  for (std::size_t i = 0; i < n * n; ++i) worst = std::max(worst, std::fabs(c[i] - ref[i]));
+  for (std::size_t i = 0; i < n * n; ++i) worst = nan_max(worst, std::fabs(c[i] - ref[i]));
   return worst;
 }
 

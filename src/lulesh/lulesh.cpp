@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "ookami/common/stats.hpp"
 #include "ookami/common/timer.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/simd/backend.hpp"
@@ -511,7 +512,7 @@ Outcome run_sedov(const Options& opt) {
       for (int k = 0; k < n; ++k) {
         const double a = s.energy[s.eidx(i, j, k)];
         const double b = s.energy[s.eidx(j, k, i)];
-        sym = std::max(sym, std::fabs(a - b));
+        sym = nan_max(sym, std::fabs(a - b));
       }
     }
   }
@@ -552,8 +553,8 @@ double check_kinematics(simd::Backend bk) {
   }
   const double scale = std::max(std::fabs(ref.final_origin_energy), 1e-30);
   double worst = std::fabs(ref.final_origin_energy - got.final_origin_energy) / scale;
-  worst = std::max(worst, got.symmetry_error);
-  if (!got.verified) worst = std::max(worst, 1.0);
+  worst = nan_max(worst, got.symmetry_error);
+  if (!got.verified) worst = nan_max(worst, 1.0);
   return worst;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "ookami/common/stats.hpp"
 #include "ookami/common/timer.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/npb/randdp.hpp"
@@ -206,7 +207,7 @@ double check_spmv(simd::Backend bk) {
   double worst = 0.0;
   for (std::size_t i = 0; i < ref.size(); ++i) {
     const double scale = std::max(std::fabs(ref[i]), 1.0);
-    worst = std::max(worst, std::fabs(ref[i] - got[i]) / scale);
+    worst = nan_max(worst, std::fabs(ref[i] - got[i]) / scale);
   }
   return worst;
 }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ookami/common/stats.hpp"
+
 namespace ookami::npb {
 
 Mat5 mat5_identity() {
@@ -241,11 +243,7 @@ double DiffusionProblem::error(const Field& u) const {
       for (int k = 1; k < n - 1; ++k) {
         const Vec5 e = exact(i, j, k);
         for (int m = 0; m < kNc; ++m) {
-          const double d = std::fabs(u.at(i, j, k, m) - e[static_cast<std::size_t>(m)]);
-          // std::max would drop a NaN (it compares false), so one
-          // broken point must end the scan instead.
-          if (std::isnan(d)) return d;
-          worst = std::max(worst, d);
+          worst = nan_max(worst, std::fabs(u.at(i, j, k, m) - e[static_cast<std::size_t>(m)]));
         }
       }
     }

@@ -9,7 +9,9 @@
 // layer: one entry per servable kernel, each with
 //
 //   * a deterministic input recipe (CounterRng streams keyed by the
-//     request seed, so equal requests are bit-reproducible),
+//     request seed, so equal requests are bit-reproducible; the
+//     npb.cg.spmv operator depends only on n and is shared read-only
+//     by every job at that n, while the seed picks x),
 //   * a batch runner that executes any number of admitted requests in
 //     ONE blocked parallel_for over the requests — this is the request
 //     coalescing mechanism: a batch of B element-wise jobs costs one
@@ -67,7 +69,10 @@ class Catalog {
   std::vector<ServableKernel> kernels_;
 };
 
-/// FNV-1a over the bit patterns of `n` doubles (the digest reduction).
+/// The digest reduction: a four-lane word-at-a-time hash over the bit
+/// patterns of `n` doubles, with `n` folded in.  Any one changed word
+/// changes the value.  The value is wire format: it appears in every
+/// /run response.
 std::uint64_t digest_doubles(const double* data, std::size_t n);
 
 }  // namespace ookami::serve

@@ -13,11 +13,11 @@
 // SIMD variant the way OOKAMI_SIMD_BACKEND would, clamped to what the
 // machine supports.
 //
-// A success response carries the result digest — a 64-bit FNV-1a hash
-// of the output bits, so two requests with equal (kernel, n, seed,
-// effective backend) must report equal digests — plus the serving
-// breakdown: time spent queued, time in the kernel batch, and how many
-// coalesced requests shared that batch.
+// A success response carries the result digest — a 64-bit hash of the
+// output bits (serve::digest_doubles), so two requests with equal
+// (kernel, n, seed, effective backend) must report equal digests — plus
+// the serving breakdown: time spent queued, time in the kernel batch,
+// and how many coalesced requests shared that batch.
 //
 // Errors are *typed*: every failure mode the admission path can hit has
 // a stable `error` token and a fixed HTTP status, so load generators
@@ -73,7 +73,7 @@ struct Response {
   std::size_t n = 0;
   std::uint64_t seed = 1;
   std::string backend;      ///< post-clamp SIMD variant the batch resolved
-  std::string digest;       ///< hex FNV-1a of the output bits
+  std::string digest;       ///< hex digest_doubles of the output bits
   std::string trace;        ///< 16-hex per-request trace id (GET /trace/<id>)
   std::size_t batch = 1;    ///< requests coalesced into the same kernel run
   double queue_us = 0.0;    ///< admission -> dequeue

@@ -5,6 +5,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -114,6 +117,25 @@ TEST(Stats, EmptySummaryIsNaNSentinel) {
   EXPECT_DOUBLE_EQ(s.min(), 7.0);
   EXPECT_DOUBLE_EQ(s.max(), 7.0);
   EXPECT_DOUBLE_EQ(s.median(), 7.0);
+}
+
+// The check folds: a NaN anywhere in the sequence must survive to the
+// result, where std::max(worst, d) would drop it and pass the check.
+TEST(Stats, NanMaxFoldStaysNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> finite = {0.5, 3.0, 1e-12, 2.0};
+  const auto fold = [](const std::vector<double>& v) {
+    double worst = 0.0;
+    for (const double d : v) worst = nan_max(worst, d);
+    return worst;
+  };
+  EXPECT_EQ(fold(finite), 3.0);
+  EXPECT_EQ(fold({}), 0.0);
+  for (std::size_t pos = 0; pos <= finite.size(); ++pos) {  // first, middle, last
+    std::vector<double> v = finite;
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(pos), nan);
+    EXPECT_TRUE(std::isnan(fold(v))) << "NaN at position " << pos;
+  }
 }
 
 TEST(ThreadPool, StaticChunksCoverRange) {

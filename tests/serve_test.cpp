@@ -1,8 +1,9 @@
-// Tests for the src/serve subsystem: catalog digest determinism and
-// the batching bit-identity invariant, admission-queue backpressure and
-// coalescing order, the typed request/error protocol, and the full
-// daemon over live sockets — burst rejection, drain-on-SIGTERM, the
-// /metrics exposition, and a multi-client hammer (the TSan target).
+// Tests for the src/serve subsystem: catalog digest determinism, the
+// batching bit-identity invariant and the shared spmv operator, the
+// digest's contract, admission-queue backpressure and coalescing order,
+// the typed request/error protocol, and the full daemon over live
+// sockets — burst rejection, drain-on-SIGTERM, the /metrics exposition,
+// and a multi-client hammer (the TSan target).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -21,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ookami/common/json.hpp"
@@ -50,17 +53,19 @@ TEST(Catalog, ListsServableKernelsWithCaps) {
 
 TEST(Catalog, DigestIsDeterministicAndSeedSensitive) {
   ThreadPool pool(2);
-  const ServableKernel* k = Catalog::global().find("vecmath.exp");
-  ASSERT_NE(k, nullptr);
-  auto digest_of = [&](std::uint64_t seed) {
-    std::vector<BatchItem> items(1);
-    items[0].n = 4096;
-    items[0].seed = seed;
-    k->run(items, pool);
-    return items[0].digest;
-  };
-  EXPECT_EQ(digest_of(7), digest_of(7));
-  EXPECT_NE(digest_of(7), digest_of(8));
+  for (const ServableKernel& k : Catalog::global().kernels()) {
+    const std::size_t n = k.name == "hpcc.dgemm" ? 64 : 4096;
+    auto digest_of = [&](std::uint64_t seed) {
+      std::vector<BatchItem> items(1);
+      items[0].n = n;
+      items[0].seed = seed;
+      k.run(items, pool);
+      return items[0].digest;
+    };
+    EXPECT_EQ(digest_of(7), digest_of(7)) << k.name;
+    // npb.cg.spmv shares one operator per n: the seed still picks x.
+    EXPECT_NE(digest_of(7), digest_of(8)) << k.name;
+  }
 }
 
 TEST(Catalog, BatchedResultsBitIdenticalToSolo) {
@@ -94,6 +99,115 @@ TEST(Catalog, BatchedResultsBitIdenticalToSolo) {
       EXPECT_EQ(batch[i].digest, solo[i]) << c.kernel << " item " << i;
     }
   }
+}
+
+std::uint64_t spmv_digest(std::size_t n, std::uint64_t seed, ThreadPool& pool) {
+  std::vector<BatchItem> one{{n, seed, 0}};
+  Catalog::global().find("npb.cg.spmv")->run(one, pool);
+  return one[0].digest;
+}
+
+TEST(Catalog, SpmvBatchInterleavingSizesMatchesSolo) {
+  // One batch alternates two sizes with the same seeds at both, so
+  // each item must pick up the operator of its own n.
+  ThreadPool pool(4);
+  std::vector<BatchItem> batch;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    batch.push_back({1024, seed, 0});
+    batch.push_back({2048, seed, 0});
+  }
+  Catalog::global().find("npb.cg.spmv")->run(batch, pool);
+  for (const BatchItem& item : batch) {
+    EXPECT_EQ(item.digest, spmv_digest(item.n, item.seed, pool))
+        << "n " << item.n << " seed " << item.seed;
+  }
+}
+
+TEST(Catalog, ConcurrentSpmvBatchesOverAlternatingSizesMatchSolo) {
+  // Four submitters, each with its own pool, keep replacing the shared
+  // operator while the others compute with it (the TSan target).
+  std::map<std::pair<std::size_t, std::uint64_t>, std::uint64_t> solo;
+  {
+    ThreadPool pool(2);
+    for (const std::size_t n : {1024u, 2048u}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) solo[{n, seed}] = spmv_digest(n, seed, pool);
+    }
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&, t] {
+      ThreadPool pool(2);
+      for (int round = 0; round < 20; ++round) {
+        std::vector<BatchItem> batch;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          batch.push_back({(round + t) % 2 == 0 ? 1024u : 2048u, seed, 0});
+        }
+        Catalog::global().find("npb.cg.spmv")->run(batch, pool);
+        for (const BatchItem& item : batch) {
+          if (item.digest != solo.at({item.n, item.seed})) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---------------------------------------------------------- digest
+
+/// Doubles built from integer bit patterns, so the input is exact and
+/// independent of floating-point formatting.
+std::vector<double> from_bits(const std::vector<std::uint64_t>& bits) {
+  std::vector<double> out(bits.size());
+  std::memcpy(out.data(), bits.data(), bits.size() * sizeof(double));
+  return out;
+}
+
+/// 13 words: not a multiple of the lane count, so a partial last round
+/// is covered.
+std::vector<double> thirteen_words() {
+  std::vector<std::uint64_t> bits(13);
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = (i + 1) * 0x0101010101010101ull;
+  return from_bits(bits);
+}
+
+std::uint64_t digest_of(const std::vector<double>& v) { return digest_doubles(v.data(), v.size()); }
+
+TEST(Digest, KnownAnswerPinsTheWireFormat) {
+  // Any change to these values changes every digest ookamid reports.
+  EXPECT_EQ(digest_of(thirteen_words()), 0x09e7f8142c03dce6ull);
+  EXPECT_EQ(digest_of({}), 0x632142215a1d4939ull);
+}
+
+TEST(Digest, EverySingleBitFlipChangesTheDigest) {
+  const std::vector<double> base = thirteen_words();
+  const std::uint64_t want = digest_of(base);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (int bit = 0; bit < 64; ++bit) {
+      std::vector<double> v = base;
+      std::uint64_t w;
+      std::memcpy(&w, &v[i], sizeof w);
+      w ^= std::uint64_t{1} << bit;
+      std::memcpy(&v[i], &w, sizeof w);
+      EXPECT_NE(digest_of(v), want) << "word " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(Digest, OrderLengthSignAndNaNPayloadChangeTheDigest) {
+  const std::vector<double> base = thirteen_words();
+  const std::uint64_t want = digest_of(base);
+  for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>{0, 1}, {0, 4}, {3, 12}}) {
+    std::vector<double> v = base;
+    std::swap(v[i], v[j]);
+    EXPECT_NE(digest_of(v), want) << "swap " << i << " and " << j;
+  }
+  std::vector<double> longer = base;
+  longer.push_back(0.0);
+  EXPECT_NE(digest_of(longer), want);
+  EXPECT_NE(digest_of({0.0}), digest_of({-0.0}));
+  EXPECT_NE(digest_of(from_bits({0x7ff8000000000001ull})), digest_of(from_bits({0x7ff8000000000002ull})));
 }
 
 // --------------------------------------------------- admission queue
