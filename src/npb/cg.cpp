@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
+#include <utility>
 
 #include "ookami/common/stats.hpp"
 #include "ookami/common/timer.hpp"
@@ -96,63 +96,107 @@ CsrMatrix cg_makea(int na, int nonzer, double shift) {
   MakeaRng rng;
   (void)rng.next();  // the reference draws one zeta seed before makea
 
-  // Triplets from n outer products of random sparse vectors, weights
-  // decaying geometrically from 1 to rcond.
-  struct Triplet {
-    int row, col;
-    double val;
+  // The n random sparse vectors, drawn in sequence and flattened: vector
+  // o is elements [first[o], first[o+1]) of idx/val, and its outer
+  // product is weighted by weight[o], decaying geometrically from 1 to
+  // rcond.
+  const auto n = static_cast<std::size_t>(na);
+  std::vector<int> idx;
+  std::vector<double> val;
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<double> weight(n);
+  {
+    const double ratio = std::pow(kRcond, 1.0 / static_cast<double>(na));
+    double size = 1.0;
+    std::vector<double> v;
+    std::vector<int> iv;
+    std::vector<int> mark(n, 0);
+    std::vector<int> marked_list;
+    for (int iouter = 0; iouter < na; ++iouter) {
+      sprnvc(rng, na, nonzer, v, iv, mark, marked_list);
+      vecset(v, iv, iouter, 0.5);
+      idx.insert(idx.end(), iv.begin(), iv.end());
+      val.insert(val.end(), v.begin(), v.end());
+      first[static_cast<std::size_t>(iouter) + 1] = idx.size();
+      weight[static_cast<std::size_t>(iouter)] = size;
+      size *= ratio;
+    }
+  }
+
+  // The reference generates the entries vector by vector: for each
+  // element j of vector o, column idx[j] of its outer product, entries
+  // (idx[i], idx[j], val[i] * (weight[o] * val[j])) over o's elements i;
+  // then the shifted identity (r, r, rcond - shift).  Its sparse() sums
+  // each (row, col) from 0.0 in that generation order.  Two stable
+  // counting sorts give every row sorted by column with that order kept.
+
+  // Sort 1: the elements by index.  Column c is, in generation order, the
+  // vectors by_col[q].vec scaled by by_col[q].scale for q in
+  // [col_start[c], col_start[c+1]), then its diagonal.
+  struct ScaledVector {
+    std::size_t vec;
+    double scale;
   };
-  std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<std::size_t>(na) * (nonzer + 1) * (nonzer + 1) / 4);
+  std::vector<std::size_t> col_start(n + 1, 0);
+  for (int i : idx) ++col_start[static_cast<std::size_t>(i) + 1];
+  for (std::size_t c = 0; c < n; ++c) col_start[c + 1] += col_start[c];
+  std::vector<ScaledVector> by_col(idx.size());
+  std::vector<std::size_t> fill(col_start.begin(), col_start.end() - 1);
+  for (std::size_t o = 0; o < n; ++o) {
+    for (std::size_t j = first[o]; j < first[o + 1]; ++j) {
+      by_col[fill[static_cast<std::size_t>(idx[j])]++] = {o, weight[o] * val[j]};
+    }
+  }
 
-  const double ratio = std::pow(kRcond, 1.0 / static_cast<double>(na));
-  double size = 1.0;
-
-  std::vector<double> v;
-  std::vector<int> iv;
-  std::vector<int> mark(static_cast<std::size_t>(na), 0);
-  std::vector<int> marked_list;
-
-  for (int iouter = 0; iouter < na; ++iouter) {
-    sprnvc(rng, na, nonzer, v, iv, mark, marked_list);
-    vecset(v, iv, iouter, 0.5);
-    for (std::size_t ivelt = 0; ivelt < iv.size(); ++ivelt) {
-      const int jcol = iv[ivelt];
-      const double scale = size * v[ivelt];
-      for (std::size_t ivelt1 = 0; ivelt1 < iv.size(); ++ivelt1) {
-        triplets.push_back({iv[ivelt1], jcol, v[ivelt1] * scale});
+  // Sort 2: the entries by row, generated column by column in ascending
+  // order.  An outer product is symmetric in structure, so row r holds
+  // one entry per element of each vector r occurs in, plus its diagonal.
+  std::vector<std::size_t> row_start(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::size_t count = 1;
+    for (std::size_t q = col_start[r]; q < col_start[r + 1]; ++q) {
+      count += first[by_col[q].vec + 1] - first[by_col[q].vec];
+    }
+    row_start[r + 1] = row_start[r] + count;
+  }
+  std::vector<int> colidx(row_start[n]);
+  std::vector<double> a(row_start[n]);
+  fill.assign(row_start.begin(), row_start.end() - 1);
+  const auto put = [&](std::size_t row, std::size_t col, double value) {
+    const std::size_t slot = fill[row]++;
+    colidx[slot] = static_cast<int>(col);
+    a[slot] = value;
+  };
+  for (std::size_t col = 0; col < n; ++col) {
+    for (std::size_t q = col_start[col]; q < col_start[col + 1]; ++q) {
+      const auto [o, scale] = by_col[q];
+      for (std::size_t i = first[o]; i < first[o + 1]; ++i) {
+        put(static_cast<std::size_t>(idx[i]), col, val[i] * scale);
       }
     }
-    size *= ratio;
+    put(col, col, kRcond - shift);
   }
-  // Shifted identity: a(i,i) += rcond - shift.
-  for (int i = 0; i < na; ++i) triplets.push_back({i, i, kRcond - shift});
 
-  // Assemble CSR, summing duplicates (the reference's sparse()).
-  std::sort(triplets.begin(), triplets.end(), [](const Triplet& x, const Triplet& y) {
-    return x.row != y.row ? x.row < y.row : x.col < y.col;
-  });
-
+  // Sum each run of equal columns, compacting in place.
   CsrMatrix m;
   m.n = na;
-  m.rowstr.assign(static_cast<std::size_t>(na) + 1, 0);
-  for (std::size_t t = 0; t < triplets.size();) {
-    std::size_t u = t;
-    double sum = 0.0;
-    while (u < triplets.size() && triplets[u].row == triplets[t].row &&
-           triplets[u].col == triplets[t].col) {
-      sum += triplets[u].val;
-      ++u;
+  m.rowstr.assign(n + 1, 0);
+  std::size_t nnz = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t e = row_start[r]; e < row_start[r + 1];) {
+      const int col = colidx[e];
+      double sum = 0.0;
+      for (; e < row_start[r + 1] && colidx[e] == col; ++e) sum += a[e];
+      colidx[nnz] = col;
+      a[nnz] = sum;
+      ++nnz;
     }
-    m.colidx.push_back(triplets[t].col);
-    m.a.push_back(sum);
-    m.rowstr[static_cast<std::size_t>(triplets[t].row) + 1] = static_cast<int>(m.a.size());
-    t = u;
+    m.rowstr[r + 1] = static_cast<int>(nnz);
   }
-  // Fill empty-row offsets.
-  for (std::size_t r = 1; r < m.rowstr.size(); ++r) {
-    m.rowstr[r] = std::max(m.rowstr[r], m.rowstr[r - 1]);
-  }
+  colidx.resize(nnz);
+  a.resize(nnz);
+  m.colidx = std::move(colidx);
+  m.a = std::move(a);
   return m;
 }
 

@@ -35,7 +35,9 @@ struct CgSpec {
 
 CgSpec cg_spec(Class cls);
 
-/// Assemble the NPB CG matrix for the given class parameters.
+/// Assemble the NPB CG matrix for the given class parameters.  Rows are
+/// sorted by column, and each (row, col) is summed from 0.0 in the
+/// reference's generation order, as NPB 2.x sparse() accumulates it.
 CsrMatrix cg_makea(int na, int nonzer, double shift);
 
 /// Sparse y = A x (threaded).

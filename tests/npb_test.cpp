@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "ookami/npb/cg.hpp"
 #include "ookami/npb/ep.hpp"
@@ -126,6 +132,82 @@ TEST(Cg, MakeaStructure) {
       if (m.colidx[static_cast<std::size_t>(k)] == r) diag = true;
     }
     EXPECT_TRUE(diag) << "row " << r;
+  }
+}
+
+/// The NPB makea matrix built the plain way: the reference's sprnvc and
+/// vecset draws, then every outer-product entry added with += into its
+/// (row, col) sum in generation order, the shifted diagonal last.
+std::map<std::pair<int, int>, double> makea_by_map(int na, int nonzer, double shift) {
+  constexpr double kRcond = 0.1;
+  double tran = 314159265.0;
+  (void)randlc(tran, kNpbA);  // the zeta seed draw
+  int nn1 = 1;
+  while (nn1 < na) nn1 <<= 1;
+  const double ratio = std::pow(kRcond, 1.0 / na);
+  double size = 1.0;
+  std::map<std::pair<int, int>, double> sums;
+  for (int iouter = 0; iouter < na; ++iouter) {
+    std::vector<int> iv;
+    std::vector<double> v;
+    while (static_cast<int>(iv.size()) < nonzer) {  // sprnvc
+      const double vecelt = randlc(tran, kNpbA);
+      const int i = static_cast<int>(nn1 * randlc(tran, kNpbA));
+      if (i < na && std::find(iv.begin(), iv.end(), i) == iv.end()) {
+        iv.push_back(i);
+        v.push_back(vecelt);
+      }
+    }
+    const auto self = std::find(iv.begin(), iv.end(), iouter);  // vecset
+    if (self != iv.end()) {
+      v[static_cast<std::size_t>(self - iv.begin())] = 0.5;
+    } else {
+      iv.push_back(iouter);
+      v.push_back(0.5);
+    }
+    for (std::size_t j = 0; j < iv.size(); ++j) {
+      const double scale = size * v[j];
+      for (std::size_t i = 0; i < iv.size(); ++i) sums[{iv[i], iv[j]}] += v[i] * scale;
+    }
+    size *= ratio;
+  }
+  for (int i = 0; i < na; ++i) sums[{i, i}] += kRcond - shift;
+  return sums;
+}
+
+TEST(Cg, MakeaSumsDuplicatesInGenerationOrder) {
+  // Class S, and the matrix the registry's npb.cg.spmv check uses.
+  const CgSpec s = cg_spec(Class::kS);
+  for (const auto& [na, nonzer, shift] : {std::tuple{s.na, s.nonzer, s.shift}, std::tuple{600, 8, 12.0}}) {
+    const CsrMatrix m = cg_makea(na, nonzer, shift);
+    std::vector<int> rowstr(static_cast<std::size_t>(na) + 1, 0), colidx;
+    std::vector<double> a;
+    for (const auto& [rc, sum] : makea_by_map(na, nonzer, shift)) {
+      ++rowstr[static_cast<std::size_t>(rc.first) + 1];
+      colidx.push_back(rc.second);
+      a.push_back(sum);
+    }
+    for (std::size_t r = 1; r < rowstr.size(); ++r) rowstr[r] += rowstr[r - 1];
+    EXPECT_EQ(m.rowstr, rowstr) << "na=" << na;
+    EXPECT_EQ(m.colidx, colidx) << "na=" << na;
+    ASSERT_EQ(m.a.size(), a.size()) << "na=" << na;
+    std::size_t differing = 0;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (std::bit_cast<std::uint64_t>(m.a[k]) != std::bit_cast<std::uint64_t>(a[k])) ++differing;
+    }
+    EXPECT_EQ(differing, 0u) << "values of " << a.size() << " differ in their bits, na=" << na;
+  }
+}
+
+TEST(Cg, ClassesWAndAMatchOfficialZeta) {
+  // The sizes where the duplicate-sum order moves bits of zeta, and where
+  // a bucket-offset or int overflow in makea would show.
+  for (const Class cls : {Class::kW, Class::kA}) {
+    for (const unsigned threads : {1u, 4u}) {
+      const Result r = run_cg(cls, threads);
+      EXPECT_TRUE(r.verified) << class_name(cls) << " threads=" << threads
+                              << " zeta=" << r.check_value << " " << r.detail;
+    }
   }
 }
 
