@@ -169,14 +169,14 @@ OOKAMI_BENCH(taskgraph_bench) {
                 same ? "bit-identical" : "MISMATCH");
 
     // Modeled counterparts: LULESH runs six chunked phases plus the
-    // serial dt combine per step; SP runs five chunked phases per ADI
+    // serial dt combine per step; SP runs four chunked phases per ADI
     // iteration.  T1 comes from the measured barrier median at this
     // thread count (work is thread-invariant; the join share is what
     // the model re-prices).
     const auto lulesh_phases = phase_skeleton(med[series("lulesh", Exec::kBarrier, t)],
                                               kLuleshSteps, 6, 1, t);
     const auto sp_phases =
-        phase_skeleton(med[series("sp", Exec::kBarrier, t)], kSpIters, 5, 0, t);
+        phase_skeleton(med[series("sp", Exec::kBarrier, t)], kSpIters, 4, 0, t);
     const auto lm = perf::model_phase_graph(m, lulesh_phases, kLuleshSteps,
                                             static_cast<int>(t));
     const auto sm =
@@ -205,7 +205,7 @@ OOKAMI_BENCH(taskgraph_bench) {
       if (barrier <= 0.0 || graph <= 0.0) continue;
       const auto phases = std::string(app) == "lulesh"
                               ? phase_skeleton(barrier, kLuleshSteps, 6, 1, t)
-                              : phase_skeleton(barrier, kSpIters, 5, 0, t);
+                              : phase_skeleton(barrier, kSpIters, 4, 0, t);
       const int steps = std::string(app) == "lulesh" ? kLuleshSteps : kSpIters;
       const auto gm = perf::model_phase_graph(m, phases, steps, static_cast<int>(t));
       claims.push_back({std::string("taskgraph/") + app + "/graph-vs-barrier/t" +

@@ -14,9 +14,10 @@ inline constexpr double kNpbA = 1220703125.0;
 /// Default seed.
 inline constexpr double kNpbSeed = 271828183.0;
 
-/// One LCG step: updates x in place, returns x * 2^-46 in (0,1).
-/// Implemented with the NPB split-multiply so results are bit-identical
-/// to the Fortran/C originals.
+/// One LCG step: updates x in place, returns x * 2^-46 in (0,1).  `a`
+/// and `x` must hold integers in [0, 2^46), as every NPB stream does.
+/// Computed in 64-bit integer arithmetic, which gives the same bits as
+/// the split-multiply of the Fortran/C originals.
 double randlc(double& x, double a);
 
 /// a^exponent mod 2^46 (as a double holding an exact 46-bit integer):

@@ -4,29 +4,18 @@ namespace ookami::npb {
 
 namespace {
 
-constexpr double kR23 = 0x1.0p-23;
 constexpr double kR46 = 0x1.0p-46;
-constexpr double kT23 = 0x1.0p+23;
-constexpr double kT46 = 0x1.0p+46;
+constexpr std::uint64_t kMask46 = (std::uint64_t{1} << 46) - 1;
 
 }  // namespace
 
 double randlc(double& x, double a) {
-  // Split a and x into 23-bit halves so all products are exact doubles.
-  const double t1a = kR23 * a;
-  const double a1 = static_cast<double>(static_cast<long long>(t1a));
-  const double a2 = a - kT23 * a1;
-
-  const double t1x = kR23 * x;
-  const double x1 = static_cast<double>(static_cast<long long>(t1x));
-  const double x2 = x - kT23 * x1;
-
-  const double t1 = a1 * x2 + a2 * x1;
-  const double t2 = static_cast<double>(static_cast<long long>(kR23 * t1));
-  const double z = t1 - kT23 * t2;
-  const double t3 = kT23 * z + a2 * x2;
-  const double t4 = static_cast<double>(static_cast<long long>(kR46 * t3));
-  x = t3 - kT46 * t4;
+  // a and x are integers below 2^46.  Their product wraps mod 2^64, and
+  // 2^46 divides 2^64, so masking the low 46 bits gives a * x mod 2^46
+  // exactly: the value NPB's split into 23-bit halves computes.
+  const std::uint64_t next =
+      (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(x)) & kMask46;
+  x = static_cast<double>(next);
   return kR46 * x;
 }
 

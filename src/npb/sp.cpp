@@ -10,12 +10,14 @@
 //
 // Everything that does not change between iterations (the factored
 // line operator, the stencil weights, the coupling diagonal and the
-// forcing) is computed once per run, so an iteration is a stencil pass,
-// three substitution sweeps and an add.
+// forcing) is computed once per run, so an iteration is four pool
+// regions: a stencil pass and three substitution sweeps, the last of
+// which adds its solution into u.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 #include "ookami/common/timer.hpp"
@@ -91,54 +93,65 @@ std::vector<PentaRow> factor_line(int ni, double dt, double inv_h2) {
   return rows;
 }
 
-/// Solve (I - dt*W) x = b for all five components of one line with the
-/// factored operator `lu`: forward substitution fused with the gather
-/// of b, back substitution fused with the scatter of x.  The line's
-/// 5-component records are `stride` doubles apart from `line`; `y`
-/// holds them interleaved between the two passes.  9 flops per point
-/// and component: forward 2 mul + 2 sub, back 2 mul + 2 sub + 1 div.
-void solve_line(const std::vector<PentaRow>& lu, double* line, std::size_t stride, double* y) {
+/// Solve (I - dt*W) x = b for all five components of one line, or of
+/// several adjacent lines at once, with the factored operator `lu`:
+/// forward substitution fused with the gather of b from `in`, back
+/// substitution fused with the scatter of x to `out` (stored, or added
+/// to it when kAdd).  Point i of the lines is the `width` doubles at
+/// offset i * stride in both; `y` holds them between the two passes.
+/// Every value goes through the same operations whatever the width,
+/// which a single line passes as a compile-time kNc.  9 flops per point
+/// and component, plus the add: forward 2 mul + 2 sub, back 2 mul +
+/// 2 sub + 1 div.
+template <bool kAdd, class Width>
+void solve_lines(const std::vector<PentaRow>& lu, const double* in, double* out,
+                 std::size_t stride, Width w, double* y) {
+  const std::size_t width = w;
   const std::size_t n = lu.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const double* b = line + i * stride;
-    double* yi = y + i * kNc;
-    for (int m = 0; m < kNc; ++m) {
+    const double* b = in + i * stride;
+    double* yi = y + i * width;
+    for (std::size_t m = 0; m < width; ++m) {
       double v = b[m];
-      if (i >= 2) v -= lu[i].m2 * yi[m - 2 * kNc];
-      if (i >= 1) v -= lu[i].m1 * yi[m - kNc];
+      if (i >= 2) v -= lu[i].m2 * yi[m - 2 * width];
+      if (i >= 1) v -= lu[i].m1 * yi[m - width];
       yi[m] = v;
     }
   }
   for (std::size_t i = n; i-- > 0;) {
-    double* x = line + i * stride;
-    double* yi = y + i * kNc;
-    for (int m = 0; m < kNc; ++m) {
+    double* x = out + i * stride;
+    double* yi = y + i * width;
+    for (std::size_t m = 0; m < width; ++m) {
       double v = yi[m];
-      if (i + 1 < n) v -= lu[i].p1 * yi[m + kNc];
-      if (i + 2 < n) v -= lu[i].p2 * yi[m + 2 * kNc];
+      if (i + 1 < n) v -= lu[i].p1 * yi[m + width];
+      if (i + 2 < n) v -= lu[i].p2 * yi[m + 2 * width];
       v /= lu[i].c;
       yi[m] = v;
-      x[m] = v;
+      if constexpr (kAdd) {
+        x[m] += v;
+      } else {
+        x[m] = v;
+      }
     }
   }
 }
 
-/// The 13-point stencil of the points along one x line: the record at
-/// offset o - 2 in direction d of the line's point i is
-/// `at[d][o] + i * step[d][o]`.
+/// The 13-point stencil of the points along one z line: the record at
+/// offset o - 2 in direction d of the line's point k is
+/// `at[d][o] + k * step[d][o]`.
 struct LineStencil {
   const double* at[3][5];
   std::size_t step[3][5];
 
   /// Fourth-order discrete Laplacian (sum over directions) of all five
-  /// components at point i; boundary-adjacent rows degrade to second
+  /// components at point k; boundary-adjacent rows degrade to second
   /// order through their weights.
-  [[nodiscard]] Vec5 l4(std::size_t i, const PentaRow& wx, const PentaRow& wy,
+  [[nodiscard]] Vec5 l4(std::size_t k, const PentaRow& wx, const PentaRow& wy,
                         const PentaRow& wz) const {
     const PentaRow* w[3] = {&wx, &wy, &wz};
     const double* g[3][5];
     for (int d = 0; d < 3; ++d) {
-      for (int o = 0; o < 5; ++o) g[d][o] = at[d][o] + i * step[d][o];
+      for (int o = 0; o < 5; ++o) g[d][o] = at[d][o] + k * step[d][o];
     }
     Vec5 r;
     for (int m = 0; m < kNc; ++m) {
@@ -194,8 +207,9 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
 
   // Loop invariants, computed once per run with the expressions the
   // iteration would otherwise re-evaluate, so no result bit changes.
-  // The per-point tables are in x-line order: entry l * ni + i is point
-  // i + 1 of line l (the line index every range body uses).
+  // The per-point tables are in z-line order: entry l * ni + k is point
+  // k + 1 of z line l = (i - 1) * ni + (j - 1), the line index of the
+  // rhs pass and the z sweep.
   std::vector<PentaRow> weights(ni_u);
   for (std::size_t i = 0; i < ni_u; ++i) {
     weights[i] = row_weights(static_cast<int>(i) + 1, ni, inv_h2);
@@ -228,23 +242,22 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
         }
       }
     }
-    const std::size_t se = static_cast<std::size_t>(ne) * ne * kNc;
     for (std::size_t l = 0; l < lines; ++l) {
-      const int j = 1 + static_cast<int>(l) / ni;
-      const int k = 1 + static_cast<int>(l) % ni;
+      const int i = 1 + static_cast<int>(l) / ni;
+      const int j = 1 + static_cast<int>(l) % ni;
       LineStencil s;
       for (int o = 0; o < 5; ++o) {
-        s.at[0][o] = ex_at(o - 1, j, k);
-        s.at[1][o] = ex_at(1, j + o - 2, k);
-        s.at[2][o] = ex_at(1, j, k + o - 2);
-        for (int d = 0; d < 3; ++d) s.step[d][o] = se;
+        s.at[0][o] = ex_at(i + o - 2, j, 1);
+        s.at[1][o] = ex_at(i, j + o - 2, 1);
+        s.at[2][o] = ex_at(i, j, o - 1);
+        for (int d = 0; d < 3; ++d) s.step[d][o] = kNc;
       }
-      for (std::size_t i = 0; i < ni_u; ++i) {
-        const std::size_t pt = l * ni_u + i;
-        diag[pt] = p.coupling(static_cast<int>(i) + 1, j, k)[0];
-        const Vec5 f = couple(off, diag[pt],
-                              s.l4(i, weights[i], weights[static_cast<std::size_t>(j - 1)],
-                                   weights[static_cast<std::size_t>(k - 1)]));
+      const PentaRow& wx = weights[static_cast<std::size_t>(i - 1)];
+      const PentaRow& wy = weights[static_cast<std::size_t>(j - 1)];
+      for (std::size_t k = 0; k < ni_u; ++k) {
+        const std::size_t pt = l * ni_u + k;
+        diag[pt] = p.coupling(i, j, static_cast<int>(k) + 1)[0];
+        const Vec5 f = couple(off, diag[pt], s.l4(k, wx, wy, weights[k]));
         for (std::size_t m = 0; m < kNc; ++m) force[pt * kNc + m] = -f[m];
       }
     }
@@ -257,45 +270,44 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
   const double pts_d = static_cast<double>(ni) * ni * ni;
   static constexpr const char* kSweepName[3] = {"sp/x_solve", "sp/y_solve", "sp/z_solve"};
 
-  // Range bodies over flat (j,k) line indices, shared by the
-  // bulk-synchronous and task-graph orchestrations.  Every body is
-  // line-independent within its pass, so results are bitwise
-  // independent of the chunking — the two modes are bit-identical at
-  // every thread count.
+  // Range bodies over flat line indices, shared by the bulk-synchronous
+  // and task-graph orchestrations.  Line l of a sweep is the pair of
+  // its other two coordinates (1 + l / ni, 1 + l % ni): (j, k) for x
+  // lines, (i, k) for y lines and (i, j) for z lines, which the rhs
+  // pass walks too.  Every body is line-independent within its pass,
+  // so results are bitwise independent of the chunking — the two modes
+  // are bit-identical at every thread count.
 
-  // Explicit residual rhs = dt (R L4 u + f).  The stencil reads u as
-  // zero beyond the grid, where its weights are zero.
+  // Explicit residual rhs = dt (R L4 u + f), along unit-stride z lines:
+  // each x or y neighbour of the line is a contiguous row of u.  The
+  // stencil reads u as zero beyond the grid, where its weights are zero.
   static constexpr double kZero[kNc] = {};
   auto rhs_range = [&](std::size_t b, std::size_t e) {
-    // The x line, with a zero record beyond each end.
-    std::vector<double> xl(static_cast<std::size_t>(n + 2) * kNc, 0.0);
+    // The z line, with a zero record beyond each end.
+    std::vector<double> zl(static_cast<std::size_t>(n + 2) * kNc, 0.0);
     for (std::size_t l = b; l < e; ++l) {
-      const int j = 1 + static_cast<int>(l) / ni;
-      const int k = 1 + static_cast<int>(l) % ni;
-      const double* ul = &u.at(0, j, k, 0);
-      for (int i = 0; i < n; ++i) {
-        std::copy_n(ul + static_cast<std::size_t>(i) * sx, kNc,
-                    xl.begin() + static_cast<std::ptrdiff_t>(i + 1) * kNc);
-      }
+      const int i = 1 + static_cast<int>(l) / ni;
+      const int j = 1 + static_cast<int>(l) % ni;
+      std::copy_n(&u.at(i, j, 0, 0), static_cast<std::size_t>(n) * kNc, zl.begin() + kNc);
       LineStencil s;
       for (int o = 0; o < 5; ++o) {
+        const int io = i + o - 2;
         const int jo = j + o - 2;
-        const int ko = k + o - 2;
+        const bool i_in = io >= 0 && io < n;
         const bool j_in = jo >= 0 && jo < n;
-        const bool k_in = ko >= 0 && ko < n;
-        s.at[0][o] = xl.data() + static_cast<std::size_t>(o) * kNc;
-        s.step[0][o] = kNc;
-        s.at[1][o] = j_in ? &u.at(1, jo, k, 0) : kZero;
-        s.step[1][o] = j_in ? sx : 0;
-        s.at[2][o] = k_in ? &u.at(1, j, ko, 0) : kZero;
-        s.step[2][o] = k_in ? sx : 0;
+        s.at[0][o] = i_in ? &u.at(io, j, 1, 0) : kZero;
+        s.step[0][o] = i_in ? kNc : 0;
+        s.at[1][o] = j_in ? &u.at(i, jo, 1, 0) : kZero;
+        s.step[1][o] = j_in ? kNc : 0;
+        s.at[2][o] = zl.data() + static_cast<std::size_t>(o) * kNc;
+        s.step[2][o] = kNc;
       }
+      const PentaRow& wx = weights[static_cast<std::size_t>(i - 1)];
       const PentaRow& wy = weights[static_cast<std::size_t>(j - 1)];
-      const PentaRow& wz = weights[static_cast<std::size_t>(k - 1)];
-      double* out = &delta.at(1, j, k, 0);
-      for (std::size_t i = 0; i < ni_u; ++i, out += sx) {
-        const std::size_t pt = l * ni_u + i;
-        const Vec5 r = couple(off, diag[pt], s.l4(i, weights[i], wy, wz));
+      double* out = &delta.at(i, j, 1, 0);
+      for (std::size_t k = 0; k < ni_u; ++k, out += kNc) {
+        const std::size_t pt = l * ni_u + k;
+        const Vec5 r = couple(off, diag[pt], s.l4(k, wx, wy, weights[k]));
         const double* f = &force[pt * kNc];
         for (std::size_t m = 0; m < kNc; ++m) out[m] = p.dt * (r[m] + f[m]);
       }
@@ -305,29 +317,29 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
   // One scalar-pentadiagonal sweep direction over lines [b, e): each
   // line's five components solved together.  Scalar bands mean far
   // less arithmetic per touched byte than BT's 5x5 blocks — the
-  // structural reason the paper finds SP memory-bound.
+  // structural reason the paper finds SP memory-bound.  The x and y
+  // sweeps solve delta in place, up to kBatch adjacent lines at once;
+  // the z sweep solves one unit-stride line at a time and adds its
+  // solution into u, which ends the iteration.
+  static constexpr std::size_t kBatch = 8;
+  using OneLine = std::integral_constant<std::size_t, kNc>;
   auto sweep_range = [&](int dir, std::size_t b, std::size_t e) {
-    std::vector<double> y(ni_u * kNc);
-    const std::size_t stride = dir == 0 ? sx : (dir == 1 ? sy : sz);
-    for (std::size_t l = b; l < e; ++l) {
+    std::vector<double> y(ni_u * kNc * kBatch);
+    for (std::size_t l = b; l < e;) {
       const int a = 1 + static_cast<int>(l) / ni;
       const int c = 1 + static_cast<int>(l) % ni;
-      double* line = dir == 0 ? &delta.at(1, a, c, 0)
-                              : (dir == 1 ? &delta.at(a, 1, c, 0) : &delta.at(a, c, 1, 0));
-      solve_line(lu, line, stride, y.data());
-    }
-  };
-
-  // u += delta.
-  auto add_range = [&](std::size_t b, std::size_t e) {
-    for (std::size_t l = b; l < e; ++l) {
-      const int j = 1 + static_cast<int>(l) / ni;
-      const int k = 1 + static_cast<int>(l) % ni;
-      double* ul = &u.at(1, j, k, 0);
-      const double* dl = &delta.at(1, j, k, 0);
-      for (std::size_t i = 0; i < ni_u; ++i) {
-        for (std::size_t m = 0; m < kNc; ++m) ul[i * sx + m] += dl[i * sx + m];
+      if (dir == 2) {
+        solve_lines<true>(lu, &delta.at(a, c, 1, 0), &u.at(a, c, 1, 0), sz, OneLine{},
+                          y.data());
+        ++l;
+        continue;
       }
+      // x lines (a, c), (a, c + 1), ... of one a (and y lines alike)
+      // lie side by side at every point.
+      const std::size_t w = std::min({kBatch, e - l, ni_u + 1 - static_cast<std::size_t>(c)});
+      double* line = dir == 0 ? &delta.at(1, a, c, 0) : &delta.at(a, 1, c, 0);
+      solve_lines<false>(lu, line, line, dir == 0 ? sx : sy, w * kNc, y.data());
+      l += w;
     }
   };
 
@@ -335,20 +347,20 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
   if (exec == taskgraph::Exec::kGraph && spec.iterations > 0) {
     // Dependency-graph orchestration: one graph spans every ADI
     // iteration, so the whole run pays a single fork/join.  Couplings:
-    //   rhs     <- prev add   by the +/-2 stencil halo in (j,k) line
-    //              space (and the rhs-overwrites-delta anti-dep, which
-    //              the halo covers since it contains the diagonal);
-    //   x_solve <- rhs        1:1 (same lines);
-    //   y_solve <- x_solve    full fan-in (transpose: a y line reads
-    //              delta written by x lines spread across all chunks);
+    //   rhs     <- prev z_solve  by the +/-2 stencil halo in (i,j) line
+    //              space: z line (i, j) updates the u row that rhs lines
+    //              (i +/- 2, j) and (i, j +/- 2) read;
+    //   x_solve <- rhs        full fan-in (transpose: x line (j, k) reads
+    //              delta that rhs lines (i, j) wrote for every i);
+    //   y_solve <- x_solve    full fan-in (transpose again);
     //   z_solve <- y_solve    interval: z line (a, c) reads points the
     //              y lines (a, *) wrote, i.e. the a-major block
-    //              [(a-1)*ni, a*ni) of producer lines;
-    //   add     <- z_solve    full fan-in (transpose again).
-    // The two transposes serialize each iteration's tail, making the
-    // remaining cross-iteration anti-dependencies transitive.
+    //              [(a-1)*ni, a*ni) of producer lines.
+    // The next rhs overwrites delta rows that x, y and z read.  Its halo
+    // contains the diagonal, z line (i, j) waits on y lines (i, *), and
+    // those wait on every x line, so that anti-dependency is transitive.
     const std::size_t cl = taskgraph::default_chunks(threads);
-    const std::size_t halo = 2 * ni_u + 2;  // +/-2 in j is +/-2*ni flat, +/-2 in k
+    const std::size_t halo = 2 * ni_u + 2;  // +/-2 in i is +/-2*ni flat, +/-2 in j
     auto halo_map = [halo, lines](std::size_t b, std::size_t e) {
       return std::make_pair(b > halo ? b - halo : 0, std::min(lines, e + halo));
     };
@@ -358,7 +370,7 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
 
     taskgraph::TaskGraph g("sp/adi");
     using Phase = taskgraph::TaskGraph::Phase;
-    Phase prev_add;
+    Phase prev_z;
     for (int iter = 0; iter < spec.iterations; ++iter) {
       Phase rhs = g.add_phase("sp/rhs", 0, lines, cl, rhs_range);
       Phase xs = g.add_phase("sp/x_solve", 0, lines, cl,
@@ -367,42 +379,40 @@ Result run_sp(Class cls, unsigned threads, taskgraph::Exec exec) {
                              [&](std::size_t b, std::size_t e) { sweep_range(1, b, e); });
       Phase zs = g.add_phase("sp/z_solve", 0, lines, cl,
                              [&](std::size_t b, std::size_t e) { sweep_range(2, b, e); });
-      Phase add = g.add_phase("sp/add", 0, lines, cl, add_range);
-      if (iter > 0) g.depend_interval(prev_add, rhs, halo_map);
-      g.depend_1to1(rhs, xs);
+      if (iter > 0) g.depend_interval(prev_z, rhs, halo_map);
+      g.depend_all(rhs, xs);
       g.depend_all(xs, ys);
       g.depend_interval(ys, zs, block_map);
-      g.depend_all(zs, add);
-      prev_add = add;
+      prev_z = zs;
     }
     g.run(pool);
   } else {
-  for (int iter = 0; iter < spec.iterations; ++iter) {
-    {
-      // 13-point fourth-order stencil over 5 components plus the force
-      // read and the delta write, and the coupling diagonal.  Flops per
-      // point: L4 5 x 3 x (5 mul + 4 add) + 15 accumulating adds, the
-      // coupling 5 x (5 mul + 5 add), dt * (r + f) 5 x 2 — 210.
-      OOKAMI_TRACE_SCOPE_IO("sp/rhs", pts_d * (kNc * 8.0 * 15.0 + 8.0), pts_d * 210.0);
-      pool.parallel_for(0, lines,
-                        [&](std::size_t b, std::size_t e, unsigned) { rhs_range(b, e); });
-    }
+    for (int iter = 0; iter < spec.iterations; ++iter) {
+      {
+        // Nine rows of u (the line itself, copied once into the line
+        // buffer that serves its z neighbours, and four x and four y
+        // neighbour rows), the force read, the delta write and the
+        // coupling diagonal.  Flops per point: L4 5 x 3 x (5 mul +
+        // 4 add) + 15 accumulating adds, the coupling 5 x (5 mul +
+        // 5 add), dt * (r + f) 5 x 2 — 210.
+        OOKAMI_TRACE_SCOPE_IO("sp/rhs", pts_d * (kNc * 8.0 * 11.0 + 8.0), pts_d * 210.0);
+        pool.parallel_for(0, lines,
+                          [&](std::size_t b, std::size_t e, unsigned) { rhs_range(b, e); });
+      }
 
-    // Three scalar-pentadiagonal sweeps: substitution only, 9 flops
-    // per point and component (see solve_line).
-    for (int dir = 0; dir < 3; ++dir) {
-      OOKAMI_TRACE_SCOPE_IO(kSweepName[dir], pts_d * kNc * 8.0 * 2.0, pts_d * kNc * 9.0);
-      pool.parallel_for(0, lines, [&](std::size_t b, std::size_t e, unsigned) {
-        sweep_range(dir, b, e);
-      });
+      // Three scalar-pentadiagonal sweeps: substitution only, 9 flops
+      // per point and component (see solve_lines) over a read and a
+      // write of delta.  The z sweep writes u instead of delta, as a
+      // read-modify-write with one add more.
+      for (int dir = 0; dir < 3; ++dir) {
+        const double words = dir == 2 ? 3.0 : 2.0;
+        const double flops = dir == 2 ? 10.0 : 9.0;
+        OOKAMI_TRACE_SCOPE_IO(kSweepName[dir], pts_d * kNc * 8.0 * words, pts_d * kNc * flops);
+        pool.parallel_for(0, lines, [&](std::size_t b, std::size_t e, unsigned) {
+          sweep_range(dir, b, e);
+        });
+      }
     }
-
-    {
-      OOKAMI_TRACE_SCOPE_IO("sp/add", pts_d * kNc * 8.0 * 3.0, pts_d * kNc);
-      pool.parallel_for(0, lines,
-                        [&](std::size_t b, std::size_t e, unsigned) { add_range(b, e); });
-    }
-  }
   }
 
   Result res;

@@ -21,15 +21,20 @@
 
 namespace ookami::vecmath::detail {
 
-/// Cost of one backend_tune_run invocation: the probe streams the n
-/// inputs in and the n results out (`extra_in_streams` counts further
-/// 8-byte input streams, e.g. pow's exponent array) and retires
-/// `flops_per_elem` arithmetic operations per element.  The per-element
-/// flop counts the callers pass are operation counts of the polynomial
-/// core (range reduction + evaluation + scaling), not calibrated fits.
+/// Largest element count a calibration probe runs: a size class above
+/// it is probed at this size, so calibration stays cheap at any n.
+inline constexpr std::size_t kMaxTuneElems = std::size_t{1} << 16;
+
+/// Cost of one backend_tune_run invocation: the probe streams its
+/// min(n, kMaxTuneElems) inputs in and results out (`extra_in_streams`
+/// counts further 8-byte input streams, e.g. pow's exponent array) and
+/// retires `flops_per_elem` arithmetic operations per element.  The
+/// per-element flop counts the callers pass are operation counts of the
+/// polynomial core (range reduction + evaluation + scaling), not
+/// calibrated fits.
 inline dispatch::TuneCost stream_cost(std::size_t n, double flops_per_elem,
                                       double extra_in_streams = 0.0) {
-  const auto d = static_cast<double>(n);
+  const auto d = static_cast<double>(std::min(n, kMaxTuneElems));
   return {(16.0 + 8.0 * extra_in_streams) * d, flops_per_elem * d};
 }
 
@@ -71,13 +76,15 @@ double backend_ulp_check(simd::Backend b, double lo, double hi, Fn&& fn) {
 }
 
 /// Calibration probe body shared by the vecmath tune registrars:
-/// seconds per invocation of `fn` over `n` uniform samples of [lo, hi)
-/// under forced backend `b`.  Sub-timer-resolution sizes are measured
-/// in geometrically grown blocks so tiny size-classes still rank
-/// variants meaningfully; the ScopedBackend both forces the variant and
-/// keeps the inner resolve() from re-entering the autotuner.
+/// seconds per invocation of `fn` over min(n, kMaxTuneElems) uniform
+/// samples of [lo, hi) under forced backend `b`.  Sub-timer-resolution
+/// sizes are measured in geometrically grown blocks so tiny
+/// size-classes still rank variants meaningfully; the ScopedBackend
+/// both forces the variant and keeps the inner resolve() from
+/// re-entering the autotuner.
 template <class Fn>
 double backend_tune_run(simd::Backend b, std::size_t n, double lo, double hi, Fn&& fn) {
+  n = std::min(n, kMaxTuneElems);
   if (n == 0) return 0.0;
   std::vector<double> x(n), y(n);
   Xoshiro256 rng(47);

@@ -14,11 +14,14 @@
 #include <utility>
 #include <vector>
 
+#include "ookami/common/rng.hpp"
 #include "ookami/npb/cg.hpp"
 #include "ookami/npb/ep.hpp"
 #include "ookami/npb/grid.hpp"
 #include "ookami/npb/npb.hpp"
 #include "ookami/npb/randdp.hpp"
+#include "ookami/npb/sp.hpp"
+#include "ookami/taskgraph/taskgraph.hpp"
 
 namespace ookami::npb {
 namespace {
@@ -61,6 +64,67 @@ TEST(Randlc, SkipAheadPartitionsTheStream) {
   const double an = ipow46(kNpbA, 64);
   randlc(y, an);
   EXPECT_EQ(x, y);
+}
+
+// The split-double multiply of the NPB Fortran/C randlc: a and x split
+// into 23-bit halves so that every product is an exact double.  Kept
+// here as the reference the integer form must reproduce.
+double split_double_randlc(double& x, double a) {
+  constexpr double r23 = 0x1.0p-23;
+  constexpr double r46 = 0x1.0p-46;
+  constexpr double t23 = 0x1.0p+23;
+  constexpr double t46 = 0x1.0p+46;
+  const double a1 = static_cast<double>(static_cast<long long>(r23 * a));
+  const double a2 = a - t23 * a1;
+  const double x1 = static_cast<double>(static_cast<long long>(r23 * x));
+  const double x2 = x - t23 * x1;
+  const double t1 = a1 * x2 + a2 * x1;
+  const double t2 = static_cast<double>(static_cast<long long>(r23 * t1));
+  const double z = t1 - t23 * t2;
+  const double t3 = t23 * z + a2 * x2;
+  const double t4 = static_cast<double>(static_cast<long long>(r46 * t3));
+  x = t3 - t46 * t4;
+  return r46 * x;
+}
+
+TEST(Randlc, IntegerFormMatchesSplitDoubleReference) {
+  // Chained draws from the NPB seeds, as EP and CG draw them.
+  for (const double seed : {kNpbSeed, 314159265.0, 1.0}) {
+    double x = seed;
+    double ref = seed;
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const double u = randlc(x, kNpbA);
+      const double r = split_double_randlc(ref, kNpbA);
+      if (std::bit_cast<std::uint64_t>(u) != std::bit_cast<std::uint64_t>(r) ||
+          std::bit_cast<std::uint64_t>(x) != std::bit_cast<std::uint64_t>(ref)) {
+        ++mismatches;
+        x = ref;  // keep both chains on the reference state
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed=" << seed;
+  }
+  // Arbitrary (a, x) below 2^46, as ipow46 and EP's skip-ahead square
+  // them, plus the extremes.
+  SplitMix64 rng(46);
+  auto next46 = [&rng] {
+    return static_cast<double>(rng.next() & ((std::uint64_t{1} << 46) - 1));
+  };
+  std::vector<std::pair<double, double>> pairs = {
+      {0.0, 0.0}, {1.0, 0x1.0p46 - 1.0}, {0x1.0p46 - 1.0, 0x1.0p46 - 1.0}, {kNpbA, 0.0}};
+  for (int i = 0; i < 1'000'000; ++i) pairs.emplace_back(next46(), next46());
+  std::size_t mismatches = 0;
+  for (const auto& [a, x0] : pairs) {
+    double x = x0;
+    double ref = x0;
+    const double u = randlc(x, a);
+    const double r = split_double_randlc(ref, a);
+    if (std::bit_cast<std::uint64_t>(u) != std::bit_cast<std::uint64_t>(r) ||
+        std::bit_cast<std::uint64_t>(x) != std::bit_cast<std::uint64_t>(ref)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << pairs.size() << " (a, x) pairs";
 }
 
 // --- EP ----------------------------------------------------------------------
@@ -232,6 +296,34 @@ TEST_P(GridSolverTest, ThreadCountInvariance) {
 INSTANTIATE_TEST_SUITE_P(Solvers, GridSolverTest,
                          ::testing::Values(Benchmark::kBT, Benchmark::kSP, Benchmark::kLU),
                          [](const auto& info) { return benchmark_name(info.param); });
+
+// SP's final error pins the exact arithmetic of its ADI iteration: the
+// stencil's direction and term order, the tabulated forcing and
+// coupling diagonal, and the substitution sweeps with the add into u.
+// A restructured loop must leave every bit of it in place, under both
+// orchestrations and at every thread count.
+TEST(Sp, CheckValueBitsArePinned) {
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+  GTEST_SKIP() << "the compiler may contract a * b + c into an FMA on this target, "
+                  "which moves the pinned bits";
+#endif
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double class_s = 0x1.85f113e4p-19;
+  const std::pair<unsigned, taskgraph::Exec> s_runs[] = {{1u, taskgraph::Exec::kBarrier},
+                                                          {4u, taskgraph::Exec::kBarrier},
+                                                          {4u, taskgraph::Exec::kGraph}};
+  for (const auto& [threads, exec] : s_runs) {
+    const Result r = run_sp(Class::kS, threads, exec);
+    EXPECT_TRUE(r.verified) << r.detail;
+    EXPECT_EQ(bits(r.check_value), bits(class_s))
+        << "class S, threads=" << threads << ", graph=" << (exec == taskgraph::Exec::kGraph)
+        << ": " << std::hexfloat << r.check_value;
+  }
+  const Result w = run_sp(Class::kW, 4, taskgraph::Exec::kBarrier);
+  EXPECT_TRUE(w.verified) << w.detail;
+  EXPECT_EQ(bits(w.check_value), bits(0x1.e5b3784p-25))
+      << "class W, threads=4: " << std::hexfloat << w.check_value;
+}
 
 // The verification BT/SP/LU share: the max-norm error against the
 // manufactured solution and the pass rule over it.  One NaN interior

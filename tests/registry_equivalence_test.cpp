@@ -80,6 +80,25 @@ TEST(RegistryManifest, EveryKernelRegistersCompiledVariants) {
   }
 }
 
+TEST(RegistryManifest, EveryCalibrationProbeIsBounded) {
+  // A calibration runs inside the first sized call of a kernel, so its
+  // probe must not grow with the caller's n: every cost model (which
+  // prices the probe) must be flat beyond 2^22 and stay cache-scale.
+  int priced = 0;
+  for (const dispatch::KernelInfo& k : dispatch::kernels()) {
+    if (!module_kernel(k) || !k.has_cost) continue;
+    const dispatch::CostFn cost = dispatch::cost(k.name);
+    ASSERT_NE(cost, nullptr) << k.name;
+    const dispatch::TuneCost at22 = cost(std::size_t{1} << 22);
+    const dispatch::TuneCost at30 = cost(std::size_t{1} << 30);
+    EXPECT_EQ(at30.bytes, at22.bytes) << k.name << " probe traffic grows with n";
+    EXPECT_EQ(at30.flops, at22.flops) << k.name << " probe work grows with n";
+    EXPECT_LE(at30.bytes, 16.0 * 1024 * 1024) << k.name;
+    ++priced;
+  }
+  EXPECT_GT(priced, 0) << "no kernel registered a cost model";
+}
+
 TEST(RegistryEquivalence, EveryKernelHasACheck) {
   for (const dispatch::KernelInfo& k : dispatch::kernels()) {
     if (!module_kernel(k)) continue;

@@ -353,3 +353,18 @@ TEST(TaskGraphEquivalence, NpbSpGraphBitIdenticalToBarrierAtEveryThreadCount) {
     EXPECT_TRUE(bits_equal(barrier.check_value, ref.check_value)) << "barrier threads=" << threads;
   }
 }
+
+TEST(TaskGraphEquivalence, NpbSpGraphChunkCountInvariant) {
+  // x_solve reads delta rows from every rhs line (i, j), so a chunk of
+  // x that waits on fewer rhs chunks than all of them races.  The
+  // default chunking can hide that; other chunk counts expose it.
+  namespace npb = ookami::npb;
+  const auto ref = npb::run_sp(npb::Class::kS, 4, tg::Exec::kBarrier);
+  ASSERT_TRUE(ref.verified);
+  for (const char* chunks : {"1", "3", "16"}) {
+    ScopedEnv e("OOKAMI_TASKGRAPH_CHUNKS", chunks);
+    const auto graph = npb::run_sp(npb::Class::kS, 4, tg::Exec::kGraph);
+    EXPECT_TRUE(graph.verified) << "chunks=" << chunks;
+    EXPECT_TRUE(bits_equal(graph.check_value, ref.check_value)) << "chunks=" << chunks;
+  }
+}
