@@ -1,90 +1,45 @@
 #pragma once
-// Empirical per-kernel autotuning for the dispatch registry.
-//
-// The registry's static resolution (CPUID ceiling) assumes the widest
-// registered variant is the fastest, but the winner really shifts with
-// problem size as working sets cross cache levels (the ECM story from
-// the A64FX literature: an 8-lane variant that wins in L1 can lose to a
-// narrower one once the kernel goes memory bound).  This layer closes
-// that gap: the first sized resolve() of a kernel in a given size-class
-// micro-benchmarks every registered + CPU-supported variant (plus the
-// scalar reference) through the kernel's registered TuneFn, caches the
-// winner per (kernel, size-class), and later resolves in that class are
-// plain table hits — zero re-measurement.
-//
-//   * A size-class is the floor(log2 n) bucket of the caller's element
-//     count, so "4 KiB of doubles" and "32 MiB of doubles" tune
-//     independently but neighbouring sizes share a winner.
-//   * Autotune sits BELOW explicit choices in the resolution order:
-//     ScopedBackend > OOKAMI_KERNEL_BACKEND rules > autotune > the
-//     global OOKAMI_SIMD_BACKEND / CPUID ceiling.  Kernels without a
-//     TuneFn, unsized resolve() calls, and OOKAMI_AUTOTUNE=0 all fall
-//     through to the ceiling exactly as before this layer existed.
-//   * The table persists as a versioned `ookami-tune-1` JSON document:
-//     set OOKAMI_TUNE_FILE to load it at first use and to rewrite it
-//     after every calibration, so a second run starts fully warm (the
-//     harness archives both variables in the result-file env block).
-//     A malformed or unversioned file is ignored with a stderr warning
-//     here — resolution must never fail — but `kernel_registry --tune`
-//     turns the same condition into exit code 2.
-//   * Winners are requests, not commitments: a file tuned on an
-//     AVX-512 host replays on a narrower machine by clamping down to
-//     the best registered + supported variant, like any other request.
+// Names the benchmark runner (perfbench/src) still calls from the
+// removed runtime autotuner.  Resolution no longer depends on the call's
+// size, so this header holds no state: it reports no calibrations, an
+// empty tuning table and one size-class-0 row per registered kernel.
+// It goes when the benchmark runner stops calling these names; nothing
+// else includes it.
 
 #include <cstddef>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
-#include "ookami/simd/backend.hpp"
+#include "ookami/dispatch/registry.hpp"
 
 namespace ookami::dispatch {
 
-/// One cached calibration result.
+/// A (kernel, size class) pair the runner times a warm resolve for.
 struct TuneRow {
   std::string kernel;
-  int size_class = 0;           ///< floor(log2 n) bucket (0 for n <= 1)
-  simd::Backend winner = simd::Backend::kScalar;
-  /// Measured per-invocation seconds for every candidate, ascending by
-  /// backend (scalar first).  The winner's time is the row minimum.
-  std::vector<std::pair<simd::Backend, double>> measured;
+  int size_class = 0;
 };
 
-/// log2 bucket used for the tuning table: 0 for n <= 1, else the index
-/// of the highest set bit of n.
-int size_class_of(std::size_t n);
+/// One size-class-0 row per registered kernel.
+inline std::vector<TuneRow> tuning_table() {
+  std::vector<TuneRow> rows;
+  for (const KernelInfo& k : kernels()) rows.push_back({k.name, 0});
+  return rows;
+}
 
-/// False when OOKAMI_AUTOTUNE=0 (read once) or a test hook disabled it;
-/// sized resolves then skip straight to the global ceiling.
-bool autotune_enabled();
+/// Calibrations run by this process: there are none.
+inline std::size_t calibration_count() { return 0; }
 
-/// Snapshot of the in-process tuning table, sorted by (kernel, class).
-std::vector<TuneRow> tuning_table();
+/// Nothing to reset.
+inline void reset_autotune_for_testing() {}
 
-/// Total calibration passes this process has run (one per table miss).
-/// A warm re-run of the same workload must keep this at zero.
-std::size_t calibration_count();
+/// Nothing to serialise.
+inline std::string dump_tune_table() { return ""; }
 
-/// Strictly parse `path` as an ookami-tune-1 document and merge its
-/// rows into the table (measured times come along for introspection).
-/// Returns false — with a diagnostic in `*error` — on unreadable input,
-/// bad JSON, a missing/unknown schema tag, or malformed rows.
-bool load_tune_file(const std::string& path, std::string* error);
-
-/// Write the current table to `path` (tmp + rename) as ookami-tune-1.
-bool save_tune_file(const std::string& path, std::string* error);
-
-/// Serialize the current table as an ookami-tune-1 JSON document.
-std::string dump_tune_table();
-
-// --- Test hooks ----------------------------------------------------------
-
-/// Force autotune on/off (ignoring OOKAMI_AUTOTUNE); pass -1 to restore
-/// the environment-derived state.
-void set_autotune_enabled_for_testing(int enabled);
-
-/// Drop every cached winner, the calibration counter and the lazy
-/// OOKAMI_TUNE_FILE load state (so the next sized resolve re-tunes).
-void reset_autotune_for_testing();
+/// resolved_backend(name): the element count does not change the answer.
+inline simd::Backend resolved_backend(std::string_view name, std::size_t /*n*/) {
+  return resolved_backend(name);
+}
 
 }  // namespace ookami::dispatch

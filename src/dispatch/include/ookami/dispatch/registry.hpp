@@ -27,10 +27,7 @@
 //
 //   1. a simd::ScopedBackend override (tests forcing one backend),
 //   2. a matching OOKAMI_KERNEL_BACKEND rule (see override.hpp),
-//   3. the autotuned winner for the caller's size-class — only for
-//      resolve(n) calls on kernels with a registered TuneFn, and only
-//      while autotune is enabled (see autotune.hpp),
-//   4. the global OOKAMI_SIMD_BACKEND / CPUID choice,
+//   3. the global OOKAMI_SIMD_BACKEND / CPUID choice,
 //
 // always clamped down to the best *registered* variant the CPU supports
 // (never an error), and down to scalar — resolve() returning nullptr —
@@ -63,46 +60,22 @@ using AnyFn = void (*)();
 /// callback forces the backend itself (simd::ScopedBackend).
 using CheckFn = double (*)(simd::Backend b);
 
-/// Calibration probe: run the kernel's representative workload once at
-/// element count `n` under forced backend `b` (the callback owns the
-/// simd::ScopedBackend, which also keeps calibration from re-entering
-/// autotune) and return the elapsed seconds for one invocation.  The
-/// registry adds the warmup/repeat protocol on top.
-using TuneFn = double (*)(simd::Backend b, std::size_t n);
-
-/// Analytic cost of one calibration-probe invocation at element count
-/// `n`: the DRAM traffic and flop count the kernel's TuneFn workload
-/// performs.  A roofline over these numbers gives the *modeled* floor
-/// for the measured tuning time, so tools can flag measurements (or
-/// models) that are off by more than a sanity factor.
-struct TuneCost {
-  double bytes = 0.0;
-  double flops = 0.0;
-};
-
-/// Cost model of the kernel's TuneFn workload; registered next to the
-/// tune_registrar so the pair stays in one place.
-using CostFn = TuneCost (*)(std::size_t n);
-
 /// Introspection row: one registered kernel.
 struct KernelInfo {
   std::string name;
   std::vector<simd::Backend> variants;  ///< registered native variants, ascending
   bool has_check = false;
   double check_tolerance = 0.0;
-  bool has_tuner = false;
-  bool has_cost = false;
 };
 
 /// How a resolution arrived at its backend (for the harness archive).
 enum class Provenance {
-  kScoped,    ///< simd::ScopedBackend override
-  kEnvRule,   ///< OOKAMI_KERNEL_BACKEND rule
-  kAutotune,  ///< measured winner from the tuning table
-  kCeiling,   ///< global OOKAMI_SIMD_BACKEND / CPUID choice
+  kScoped,   ///< simd::ScopedBackend override
+  kEnvRule,  ///< OOKAMI_KERNEL_BACKEND rule
+  kCeiling,  ///< global OOKAMI_SIMD_BACKEND / CPUID choice
 };
 
-/// Stable lower-case token ("scoped", "env-rule", "autotune", "ceiling").
+/// Stable lower-case token ("scoped", "env-rule", "ceiling").
 const char* provenance_name(Provenance p);
 
 namespace detail {
@@ -124,21 +97,10 @@ void add_variant(Entry* e, simd::Backend b, AnyFn fn, const std::type_info& sig)
 /// Attach the equivalence check for the kernel.
 void add_check(Entry* e, CheckFn fn, double tolerance);
 
-/// Attach the calibration probe for the kernel.
-void add_tuner(Entry* e, TuneFn fn);
-
-/// Attach the cost model of the kernel's calibration workload.
-void add_cost(Entry* e, CostFn fn);
-
 /// Resolve the backend for `e` under the precedence rules above and
 /// return the variant function (nullptr => scalar reference path).
 /// `used` receives the post-clamp backend, scalar included.
 AnyFn resolve(Entry* e, simd::Backend& used, const std::type_info& sig);
-
-/// As resolve(), with the caller's element count: kernels with a
-/// TuneFn additionally consult (and on first use fill) the autotune
-/// table for size_class_of(n).
-AnyFn resolve_sized(Entry* e, std::size_t n, simd::Backend& used, const std::type_info& sig);
 
 }  // namespace detail
 
@@ -165,18 +127,6 @@ class kernel_table {
     return reinterpret_cast<Sig*>(detail::resolve(entry_, used, typeid(Sig*)));
   }
 
-  /// Size-aware resolve: `n` is the caller's element count this call
-  /// will process.  Same precedence as resolve(), plus the autotuned
-  /// per-size-class winner for kernels with a registered TuneFn.
-  Sig* resolve(std::size_t n) const {
-    simd::Backend used;
-    return resolve(n, used);
-  }
-
-  Sig* resolve(std::size_t n, simd::Backend& used) const {
-    return reinterpret_cast<Sig*>(detail::resolve_sized(entry_, n, used, typeid(Sig*)));
-  }
-
  private:
   detail::Entry* entry_;
 };
@@ -199,22 +149,6 @@ struct check_registrar {
   }
 };
 
-/// Registers the kernel's calibration probe at static initialization;
-/// instantiate one per kernel next to the kernel_table declaration.
-struct tune_registrar {
-  tune_registrar(const char* name, TuneFn fn) {
-    detail::add_tuner(detail::entry(name), fn);
-  }
-};
-
-/// Registers the cost model of the kernel's calibration workload;
-/// instantiate next to the tune_registrar it describes.
-struct cost_registrar {
-  cost_registrar(const char* name, CostFn fn) {
-    detail::add_cost(detail::entry(name), fn);
-  }
-};
-
 // --- Introspection -------------------------------------------------------
 
 /// All registered kernels, sorted by name.
@@ -227,18 +161,9 @@ std::vector<simd::Backend> variants(std::string_view name);
 /// kernels, which only have the reference path anyway).
 simd::Backend resolved_backend(std::string_view name);
 
-/// As above, for a sized call: includes the autotuned winner for
-/// size_class_of(n) when the kernel has a TuneFn (and may calibrate,
-/// exactly like a sized resolve() from the kernel's own call site).
-simd::Backend resolved_backend(std::string_view name, std::size_t n);
-
 /// Equivalence check of `name`, or nullptr when none is registered.
 /// `tolerance` (optional) receives the registered bound.
 CheckFn check(std::string_view name, double* tolerance = nullptr);
-
-/// Cost model of `name`'s calibration workload, or nullptr when none is
-/// registered.
-CostFn cost(std::string_view name);
 
 /// One line per kernel — "name<TAB>scalar,avx2,avx512" sorted by name —
 /// the stable manifest format behind the harness --list-kernels mode and

@@ -9,8 +9,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "autotune_internal.hpp"
-#include "ookami/dispatch/autotune.hpp"
 #include "ookami/dispatch/override.hpp"
 
 namespace ookami::dispatch {
@@ -29,8 +27,6 @@ struct Entry {
   AnyFn fn[kBackendCount] = {};             ///< indexed by simd::Backend
   CheckFn check = nullptr;
   double check_tol = 0.0;
-  TuneFn tune = nullptr;
-  CostFn cost = nullptr;
   /// Cached OOKAMI_KERNEL_BACKEND lookup for this kernel (the env var is
   /// read once per process, so the per-kernel answer never changes).
   std::atomic<int> env_request{kEnvUnset};
@@ -64,10 +60,8 @@ namespace {
 }
 
 /// Pre-clamp backend request for `e` under the registry precedence:
-/// ScopedBackend > per-kernel env rule > autotune (sized calls on tuned
-/// kernels only) > global env/CPUID.  `n_valid`/`n` carry the caller's
-/// element count for the autotune step.
-simd::Backend requested_backend(Entry* e, bool n_valid, std::size_t n, Provenance& prov) {
+/// ScopedBackend > per-kernel env rule > global env/CPUID.
+simd::Backend requested_backend(Entry* e, Provenance& prov) {
   if (simd::scoped_backend_active()) {
     prov = Provenance::kScoped;
     return simd::active_backend();
@@ -88,24 +82,6 @@ simd::Backend requested_backend(Entry* e, bool n_valid, std::size_t n, Provenanc
   if (cached >= 0) {
     prov = Provenance::kEnvRule;
     return simd::clamp_backend(static_cast<simd::Backend>(cached));
-  }
-  if (n_valid && e->tune != nullptr && autotune_enabled()) {
-    // Candidates: every registered variant the CPU can run, capped at
-    // the global ceiling — OOKAMI_SIMD_BACKEND=avx2 is an explicit user
-    // choice, so the tuner only picks among variants at or below it
-    // (with no env var the ceiling is CPUID and the cap is a no-op).
-    // The fn[] slots are written only during static initialization, so
-    // reading them unlocked here mirrors resolve() itself.
-    const int ceiling = static_cast<int>(simd::active_backend());
-    std::vector<simd::Backend> candidates;
-    for (int i = 1; i <= ceiling && i < kBackendCount; ++i) {
-      const auto b = static_cast<simd::Backend>(i);
-      if (e->fn[i] != nullptr && simd::backend_supported(b)) candidates.push_back(b);
-    }
-    if (!candidates.empty()) {
-      prov = Provenance::kAutotune;
-      return autotune_request(e->name, e->tune, candidates, n);
-    }
   }
   prov = Provenance::kCeiling;
   return simd::active_backend();
@@ -154,29 +130,10 @@ void add_check(Entry* e, CheckFn fn, double tolerance) {
   e->check_tol = tolerance;
 }
 
-void add_tuner(Entry* e, TuneFn fn) {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (e->tune != nullptr) die(*e, "duplicate tuner registration");
-  if (fn == nullptr) die(*e, "null tuner function");
-  e->tune = fn;
-}
-
-void add_cost(Entry* e, CostFn fn) {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (e->cost != nullptr) die(*e, "duplicate cost-model registration");
-  if (fn == nullptr) die(*e, "null cost function");
-  e->cost = fn;
-}
-
-namespace {
-
-AnyFn resolve_impl(Entry* e, bool n_valid, std::size_t n, simd::Backend& used,
-                   const std::type_info& sig) {
+AnyFn resolve(Entry* e, simd::Backend& used, const std::type_info& sig) {
   if (e->sig != nullptr && *e->sig != sig) die(*e, "resolve() signature mismatch");
   Provenance prov = Provenance::kCeiling;
-  const simd::Backend request = requested_backend(e, n_valid, n, prov);
+  const simd::Backend request = requested_backend(e, prov);
   used = simd::Backend::kScalar;
   AnyFn fn = nullptr;
   // Clamp down to the best registered variant the CPU can run; scalar
@@ -197,16 +154,6 @@ AnyFn resolve_impl(Entry* e, bool n_valid, std::size_t n, simd::Backend& used,
   return fn;
 }
 
-}  // namespace
-
-AnyFn resolve(Entry* e, simd::Backend& used, const std::type_info& sig) {
-  return resolve_impl(e, false, 0, used, sig);
-}
-
-AnyFn resolve_sized(Entry* e, std::size_t n, simd::Backend& used, const std::type_info& sig) {
-  return resolve_impl(e, true, n, used, sig);
-}
-
 }  // namespace detail
 
 const char* provenance_name(Provenance p) {
@@ -215,8 +162,6 @@ const char* provenance_name(Provenance p) {
       return "scoped";
     case Provenance::kEnvRule:
       return "env-rule";
-    case Provenance::kAutotune:
-      return "autotune";
     case Provenance::kCeiling:
       return "ceiling";
   }
@@ -233,8 +178,6 @@ KernelInfo info_of(const detail::Entry& e) {
   }
   k.has_check = e.check != nullptr;
   k.check_tolerance = e.check_tol;
-  k.has_tuner = e.tune != nullptr;
-  k.has_cost = e.cost != nullptr;
   return k;
 }
 
@@ -270,20 +213,6 @@ simd::Backend resolved_backend(std::string_view name) {
   return used;
 }
 
-simd::Backend resolved_backend(std::string_view name, std::size_t n) {
-  detail::State& s = detail::state();
-  detail::Entry* e = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.entries.find(name);
-    if (it == s.entries.end()) return simd::Backend::kScalar;
-    e = it->second.get();
-  }
-  simd::Backend used;
-  (void)detail::resolve_sized(e, n, used, e->sig != nullptr ? *e->sig : typeid(void));
-  return used;
-}
-
 CheckFn check(std::string_view name, double* tolerance) {
   detail::State& s = detail::state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -291,13 +220,6 @@ CheckFn check(std::string_view name, double* tolerance) {
   if (it == s.entries.end()) return nullptr;
   if (tolerance != nullptr) *tolerance = it->second->check_tol;
   return it->second->check;
-}
-
-CostFn cost(std::string_view name) {
-  detail::State& s = detail::state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.entries.find(name);
-  return it == s.entries.end() ? nullptr : it->second->cost;
 }
 
 std::string manifest() {

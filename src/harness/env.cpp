@@ -78,9 +78,8 @@ Environment capture_environment() {
   // variables are archived; the harness separately records the
   // effective trace on/off state in the environment JSON.
   static const char* const kRelevantEnv[] = {
-      "OOKAMI_THREADS",        "OOKAMI_TRACE",    "OOKAMI_SIMD_BACKEND",
-      "OOKAMI_KERNEL_BACKEND", "OOKAMI_AUTOTUNE", "OOKAMI_TUNE_FILE",
-      "OOKAMI_TASKGRAPH",      "OOKAMI_TASKGRAPH_CHUNKS",
+      "OOKAMI_THREADS",        "OOKAMI_TRACE",     "OOKAMI_SIMD_BACKEND",
+      "OOKAMI_KERNEL_BACKEND", "OOKAMI_TASKGRAPH", "OOKAMI_TASKGRAPH_CHUNKS",
       "OOKAMI_SERVE_PORT",     "OOKAMI_SERVE_QUEUE_DEPTH", "OOKAMI_SERVE_BATCH",
       "OOKAMI_SERVE_THREADS",
       "OMP_NUM_THREADS",       "OMP_PROC_BIND",   "OMP_PLACES",

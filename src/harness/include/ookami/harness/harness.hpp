@@ -125,7 +125,7 @@ struct Series {
   /// post-clamp backend) pairs — empty when the series touched none.
   std::vector<std::pair<std::string, std::string>> kernel_backends;
   /// Parallel to kernel_backends: which precedence step chose each
-  /// backend ("scoped", "env-rule", "autotune", "ceiling").
+  /// backend ("scoped", "env-rule", "ceiling").
   std::vector<std::pair<std::string, std::string>> kernel_provenance;
 
   [[nodiscard]] json::Value to_json(bool keep_samples) const;

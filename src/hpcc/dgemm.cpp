@@ -5,7 +5,6 @@
 #include "ookami/common/aligned.hpp"
 #include "ookami/common/rng.hpp"
 #include "ookami/common/stats.hpp"
-#include "ookami/common/timer.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/hpcc/hpcc.hpp"
 #include "ookami/simd/backend.hpp"
@@ -89,7 +88,7 @@ void dgemm(GemmImpl impl, std::size_t n, const double* a, const double* b, doubl
   // kBlocked/kTuned use the packed microkernel when "hpcc.dgemm"
   // resolves to a native variant; the scalar backend keeps the original
   // blocked reference code so baseline numbers stay comparable.
-  GemmPackedFn* native = kGemmTable.resolve(n);
+  GemmPackedFn* native = kGemmTable.resolve();
   switch (impl) {
     case GemmImpl::kNaive:
       gemm_naive(n, a, b, c);
@@ -142,48 +141,6 @@ double check_gemm(simd::Backend bk) {
 }
 
 const dispatch::check_registrar kGemmCheck("hpcc.dgemm", &check_gemm, 1e-10);
-
-/// Calibration probe: serial packed GEMM at a clamped matrix dimension
-/// (the full caller size would make first-touch calibration cost O(n^3)
-/// per candidate; the micro-tile ranking is stable above ~2 cache
-/// blocks).  The ScopedBackend both forces the probed variant and keeps
-/// the inner resolve() from re-entering the autotuner.
-double tune_gemm(simd::Backend bk, std::size_t n) {
-  const std::size_t m = std::clamp<std::size_t>(n, 32, 192);
-  avec<double> a(m * m), b(m * m), c(m * m);
-  Xoshiro256 rng(4242);
-  fill_uniform({a.data(), a.size()}, -1.0, 1.0, rng);
-  fill_uniform({b.data(), b.size()}, -1.0, 1.0, rng);
-  simd::ScopedBackend force(bk);
-  GemmPackedFn* native = kGemmTable.resolve(m);
-  auto run = [&] {
-    if (native != nullptr) {
-      native(m, a.data(), b.data(), c.data(), nullptr);
-    } else {
-      gemm_blocked(m, a.data(), b.data(), c.data(), nullptr);
-    }
-  };
-  for (std::size_t reps = 1;; reps *= 4) {
-    WallTimer t;
-    for (std::size_t r = 0; r < reps; ++r) run();
-    const double dt = t.elapsed();
-    if (dt > 20e-6 || reps > (std::size_t{1} << 10)) {
-      return dt / static_cast<double>(reps);
-    }
-  }
-}
-
-const dispatch::tune_registrar kGemmTune("hpcc.dgemm", &tune_gemm);
-
-/// Cost of one tune_gemm probe: 2m^3 flops over m x m operands.  At the
-/// probe sizes (<= 192) the matrices fit in cache, so the traffic floor
-/// is one pass over a and b plus a read-modify-write of c.
-dispatch::TuneCost cost_gemm(std::size_t n) {
-  const auto m = static_cast<double>(std::clamp<std::size_t>(n, 32, 192));
-  return {m * m * 32.0, 2.0 * m * m * m};
-}
-
-const dispatch::cost_registrar kGemmCost("hpcc.dgemm", &cost_gemm);
 
 }  // namespace
 

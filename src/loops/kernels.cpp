@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ookami/common/timer.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/simd/backend.hpp"
 #include "ookami/sve/sve.hpp"
@@ -54,37 +53,6 @@ double check_fig1(simd::Backend b) {
 }
 
 const dispatch::check_registrar kFig1Check("loops.fig1", &check_fig1, 0.0);
-
-/// Calibration probe: the kSimple kind (mul + fma, the densest fig1
-/// loop) at the caller's size, clamped so calibration stays cheap.  The
-/// ScopedBackend both forces the probed variant and keeps the inner
-/// resolve() from re-entering the autotuner.
-double tune_fig1(simd::Backend b, std::size_t n) {
-  const std::size_t m = std::clamp<std::size_t>(n, 64, std::size_t{1} << 16);
-  LoopData d = make_loop_data(LoopKind::kSimple, m, 123);
-  simd::ScopedBackend force(b);
-  for (std::size_t reps = 1;; reps *= 4) {
-    WallTimer t;
-    for (std::size_t r = 0; r < reps; ++r) run_sve(LoopKind::kSimple, d);
-    const double dt = t.elapsed();
-    if (dt > 20e-6 || reps > (std::size_t{1} << 20)) {
-      return dt / static_cast<double>(reps);
-    }
-  }
-}
-
-const dispatch::tune_registrar kFig1Tune("loops.fig1", &tune_fig1);
-
-/// Cost of one tune_fig1 probe: the kSimple loop streams x in and y
-/// out (16 B/elem) and retires two multiplies plus one fma (counted as
-/// two flops) per element.
-dispatch::TuneCost cost_fig1(std::size_t n) {
-  const auto m =
-      static_cast<double>(std::clamp<std::size_t>(n, 64, std::size_t{1} << 16));
-  return {m * 16.0, m * 4.0};
-}
-
-const dispatch::cost_registrar kFig1Cost("loops.fig1", &cost_fig1);
 
 }  // namespace
 
@@ -277,7 +245,7 @@ void run_sve(LoopKind kind, LoopData& d) {
     case LoopKind::kScatter:
     case LoopKind::kShortGather:
     case LoopKind::kShortScatter:
-      if (Fig1Fn* fn = kFig1Table.resolve(n)) {
+      if (Fig1Fn* fn = kFig1Table.resolve()) {
         fn(kind, x, y, d.index.empty() ? nullptr : d.index.data(), n);
         return;
       }

@@ -252,7 +252,7 @@ Outcome run_sedov(const Options& opt) {
   // Resolve the native kinematics kernel once: both orchestrations then
   // run the identical backend, which the bit-identity equivalence test
   // relies on.
-  KinematicsRowsFn* const kin_native = kKinematicsTable.resolve(nrows);
+  KinematicsRowsFn* const kin_native = kKinematicsTable.resolve();
 
   std::vector<double> xd0(s.nnode()), yd0(s.nnode()), zd0(s.nnode());
 
@@ -559,44 +559,6 @@ double check_kinematics(simd::Backend bk) {
 }
 
 const dispatch::check_registrar kKinematicsCheck("lulesh.kinematics", &check_kinematics, 1e-10);
-
-/// Calibration probe: a short single-threaded Sedov run whose mesh edge
-/// tracks the caller's node-row count (clamped so calibration stays
-/// cheap).  The timed step loop is kinematics-dominated at these sizes,
-/// so whole-run seconds rank the variants empirically.  The
-/// ScopedBackend both forces the probed variant and keeps the inner
-/// resolve() from re-entering the autotuner.
-double tune_kinematics(simd::Backend bk, std::size_t n) {
-  Options opt;
-  const auto nn =
-      static_cast<int>(std::sqrt(static_cast<double>(std::max<std::size_t>(n, 1))));
-  opt.edge_elems = std::clamp(nn - 1, 6, 16);
-  opt.max_steps = 4;
-  opt.variant = Variant::kVect;
-  opt.threads = 1;
-  simd::ScopedBackend force(bk);
-  return run_sedov(opt).seconds;
-}
-
-const dispatch::tune_registrar kKinematicsTune("lulesh.kinematics", &tune_kinematics);
-
-/// Approximate cost of one tune_kinematics probe: a 4-step Sedov run at
-/// the probe mesh size.  The per-step constants are operation counts
-/// read off the kVect kinematics/geometry loops (hexahedron gradients,
-/// volume, strain rates dominate), not a calibrated fit — close enough
-/// for a roofline sanity check of the measured tuning time.
-dispatch::TuneCost cost_kinematics(std::size_t n) {
-  const auto nn =
-      static_cast<int>(std::sqrt(static_cast<double>(std::max<std::size_t>(n, 1))));
-  const auto edge = static_cast<double>(std::clamp(nn - 1, 6, 16));
-  const double elems = edge * edge * edge;
-  const double nodes = (edge + 1.0) * (edge + 1.0) * (edge + 1.0);
-  const double steps = 4.0;
-  return {steps * (nodes * 6.0 * 8.0 * 2.0 + elems * 16.0 * 8.0),
-          steps * (elems * 350.0 + nodes * 30.0)};
-}
-
-const dispatch::cost_registrar kKinematicsCost("lulesh.kinematics", &cost_kinematics);
 
 }  // namespace
 

@@ -209,7 +209,7 @@ void spmv(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>&
                         2.0 * static_cast<double>(a.nnz()));
   // Resolve once, outside the pool: the worker threads must all run the
   // same variant, and resolution is cheapest on the calling thread.
-  SpmvRangeFn* native = kSpmvTable.resolve(static_cast<std::size_t>(a.n));
+  SpmvRangeFn* native = kSpmvTable.resolve();
   pool.parallel_for(0, static_cast<std::size_t>(a.n), [&](std::size_t b, std::size_t e, unsigned) {
     if (native != nullptr) {
       native(a.rowstr.data(), a.colidx.data(), a.a.data(), x.data(), y.data(), b, e);
@@ -257,67 +257,6 @@ double check_spmv(simd::Backend bk) {
 }
 
 const dispatch::check_registrar kSpmvCheck("npb.cg.spmv", &check_spmv, 1e-12);
-
-/// Calibration probe: single-threaded SpMV over a makea matrix whose
-/// row count tracks the caller's size-class (clamped so calibration
-/// stays cheap).  The matrix is cached across probes of the same class
-/// -- the autotuner serializes calibration, so the statics are safe.
-/// The ScopedBackend both forces the probed variant and keeps the inner
-/// resolve() from re-entering the autotuner.
-double tune_spmv(simd::Backend bk, std::size_t n) {
-  const int na = static_cast<int>(std::clamp<std::size_t>(n, 64, 1400));
-  static int cached_na = -1;
-  static CsrMatrix cached;
-  if (cached_na != na) {
-    cached = cg_makea(na, 8, 12.0);
-    cached_na = na;
-  }
-  const CsrMatrix& a = cached;
-  std::vector<double> x(static_cast<std::size_t>(a.n)), y(static_cast<std::size_t>(a.n));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(0.37 * static_cast<double>(i + 1));
-  }
-  simd::ScopedBackend force(bk);
-  SpmvRangeFn* native = kSpmvTable.resolve(static_cast<std::size_t>(a.n));
-  auto run = [&] {
-    if (native != nullptr) {
-      native(a.rowstr.data(), a.colidx.data(), a.a.data(), x.data(), y.data(), 0,
-             static_cast<std::size_t>(a.n));
-      return;
-    }
-    for (std::size_t row = 0; row < static_cast<std::size_t>(a.n); ++row) {
-      double sum = 0.0;
-      for (int k = a.rowstr[row]; k < a.rowstr[row + 1]; ++k) {
-        sum += a.a[static_cast<std::size_t>(k)] *
-               x[static_cast<std::size_t>(a.colidx[static_cast<std::size_t>(k)])];
-      }
-      y[row] = sum;
-    }
-  };
-  for (std::size_t reps = 1;; reps *= 4) {
-    WallTimer t;
-    for (std::size_t r = 0; r < reps; ++r) run();
-    const double dt = t.elapsed();
-    if (dt > 20e-6 || reps > (std::size_t{1} << 14)) {
-      return dt / static_cast<double>(reps);
-    }
-  }
-}
-
-const dispatch::tune_registrar kSpmvTune("npb.cg.spmv", &tune_spmv);
-
-/// Approximate cost of one tune_spmv probe.  makea(na, 8, ...) leaves
-/// roughly nonzer*(nonzer+1) = 72 entries per row after assembly; SpMV
-/// reads each entry's value (8 B) and column (4 B) once, streams the
-/// row pointers and the x/y vectors, and retires a multiply-add per
-/// entry.
-dispatch::TuneCost cost_spmv(std::size_t n) {
-  const auto na = static_cast<double>(std::clamp<std::size_t>(n, 64, 1400));
-  const double nnz = na * 72.0;
-  return {nnz * 12.0 + na * 24.0, nnz * 2.0};
-}
-
-const dispatch::cost_registrar kSpmvCost("npb.cg.spmv", &cost_spmv);
 
 double dot(const std::vector<double>& x, const std::vector<double>& y, ThreadPool& pool) {
   OOKAMI_TRACE_SCOPE_IO("cg/dot", 16.0 * static_cast<double>(x.size()),

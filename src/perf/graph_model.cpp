@@ -59,24 +59,4 @@ GraphTimes model_phase_graph(const MachineModel& m, const std::vector<PhaseSpec>
   return t;
 }
 
-const char* time_verdict_name(TimeVerdict v) {
-  switch (v) {
-    case TimeVerdict::kAgree: return "agree";
-    case TimeVerdict::kModelOptimistic: return "model-optimistic";
-    case TimeVerdict::kModelPessimistic: return "model-pessimistic";
-  }
-  return "?";
-}
-
-TimeVerdict time_verdict(double modeled_s, double measured_s, double factor) {
-  if (measured_s <= 0.0 || modeled_s <= 0.0) {
-    return (measured_s <= 0.0 && modeled_s <= 0.0) ? TimeVerdict::kAgree
-                                                   : TimeVerdict::kModelOptimistic;
-  }
-  if (factor < 1.0) factor = 1.0;
-  if (modeled_s * factor < measured_s) return TimeVerdict::kModelOptimistic;
-  if (modeled_s > measured_s * factor) return TimeVerdict::kModelPessimistic;
-  return TimeVerdict::kAgree;
-}
-
 }  // namespace ookami::perf

@@ -13,10 +13,7 @@
 // amortized across the workers.
 //
 // The model exists to be *checked*: taskgraph_bench archives these
-// numbers next to measured wall times, and time_verdict() classifies
-// the comparison the way metrics::Verdict does for counter rates —
-// within a factor (default 2x) is agreement, outside it the model is
-// called optimistic or pessimistic, never silently trusted.
+// numbers next to measured wall times.
 
 #include <cstddef>
 #include <vector>
@@ -53,19 +50,5 @@ GraphTimes model_phase_graph(const MachineModel& m, const std::vector<PhaseSpec>
 /// on `m`: ready-queue mutex hold + in-degree countdown + share of the
 /// condvar wakeups.  Exposed so benches can archive it.
 double task_dispatch_s(const MachineModel& m);
-
-/// How a modeled time compares to a measured one (the time-domain
-/// sibling of metrics::Verdict, which classifies counter rates).
-enum class TimeVerdict {
-  kAgree,             ///< within `factor` either way
-  kModelOptimistic,   ///< modeled < measured / factor (model too fast)
-  kModelPessimistic,  ///< modeled > measured * factor (model too slow)
-};
-
-const char* time_verdict_name(TimeVerdict v);
-
-/// Classify modeled vs measured seconds within a tolerance factor.
-/// Non-positive inputs yield kAgree only when both are non-positive.
-TimeVerdict time_verdict(double modeled_s, double measured_s, double factor = 2.0);
 
 }  // namespace ookami::perf

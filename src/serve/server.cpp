@@ -274,9 +274,7 @@ void Server::handle_request(int fd, const HttpRequest& req) {
       entry.set("kernel", k.name);
       entry.set("max_n", static_cast<unsigned long long>(k.max_n));
       // Static resolution (env rules + CPUID ceiling): what a request
-      // with no backend constraint starts from.  Unsized on purpose —
-      // a metadata endpoint must not trigger autotune calibration; the
-      // per-request `backend` field reports the sized, tuned choice.
+      // with no backend constraint runs.
       entry.set("backend", simd::backend_name(dispatch::resolved_backend(k.name)));
       arr.push_back(std::move(entry));
     }
@@ -592,16 +590,13 @@ void Server::process_batch(const std::vector<std::shared_ptr<Pending>>& batch) {
     scoped.emplace(static_cast<simd::Backend>(batch.front()->backend_constraint));
   }
   std::vector<BatchItem> items(batch.size());
-  std::size_t max_item_n = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     items[i].n = batch[i]->n;
     items[i].seed = batch[i]->seed;
-    max_item_n = std::max(max_item_n, batch[i]->n);
   }
-  // Sized resolution: reports the same (possibly autotuned) variant the
-  // kernel's array driver will pick for the batch's largest item.
-  const std::string backend_used =
-      simd::backend_name(dispatch::resolved_backend(servable->name, max_item_n));
+  // The variant the kernel's call site resolves to under the same
+  // constraint: resolution does not depend on n.
+  const std::string backend_used = simd::backend_name(dispatch::resolved_backend(servable->name));
 
   bool failed = false;
   std::string fail_reason;

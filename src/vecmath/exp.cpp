@@ -36,18 +36,6 @@ double check_exp(simd::Backend b) {
 
 const dispatch::check_registrar kExpCheck("vecmath.exp", &check_exp, 2.0);
 
-double tune_exp(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -700.0, 700.0, [](auto in, auto out) {
-    exp_array(in, out, LoopShape::kVla, PolyScheme::kEstrin, Rounding::kCorrected);
-  });
-}
-
-const dispatch::tune_registrar kExpTune("vecmath.exp", &tune_exp);
-
-// Cody-Waite reduction (~5 ops) + degree-5 Estrin (~8) + 2^m scaling.
-dispatch::TuneCost cost_exp(std::size_t n) { return detail::stream_cost(n, 15.0); }
-const dispatch::cost_registrar kExpCost("vecmath.exp", &cost_exp);
-
 // 64/log(2) and the two-part split of log(2)/64 (Cody-Waite).  The high
 // part has its low 21 bits zeroed so n * kLn2Hi64 is exact for |n| < 2^21.
 constexpr double kInvLn2x64 = 0x1.71547652b82fep+6;   // 64 / ln 2
@@ -172,7 +160,7 @@ double exp_scalar(double x) {
 
 void exp_array(std::span<const double> x, std::span<double> y, LoopShape shape,
                PolyScheme scheme, Rounding rounding) {
-  if (ExpArrayFn* fn = kExpTable.resolve(x.size())) {
+  if (ExpArrayFn* fn = kExpTable.resolve()) {
     fn(x, y, shape, scheme, rounding);
     return;
   }

@@ -50,39 +50,6 @@ const dispatch::check_registrar kExpm1Check("vecmath.expm1", &check_expm1, 2.0);
 const dispatch::check_registrar kLog1pCheck("vecmath.log1p", &check_log1p, 2.0);
 const dispatch::check_registrar kTanhCheck("vecmath.tanh", &check_tanh, 4.0);
 
-double tune_exp2(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -1000.0, 1000.0,
-                                  [](auto in, auto out) { exp2_array(in, out); });
-}
-double tune_expm1(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -40.0, 700.0,
-                                  [](auto in, auto out) { expm1_array(in, out); });
-}
-double tune_log1p(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -0.999, 1e6,
-                                  [](auto in, auto out) { log1p_array(in, out); });
-}
-double tune_tanh(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -25.0, 25.0,
-                                  [](auto in, auto out) { tanh_array(in, out); });
-}
-
-const dispatch::tune_registrar kExp2Tune("vecmath.exp2", &tune_exp2);
-const dispatch::tune_registrar kExpm1Tune("vecmath.expm1", &tune_expm1);
-const dispatch::tune_registrar kLog1pTune("vecmath.log1p", &tune_log1p);
-const dispatch::tune_registrar kTanhTune("vecmath.tanh", &tune_tanh);
-
-// exp2 skips the ln2 multiply of exp; expm1/log1p pay the extra
-// compensation terms; tanh is expm1 plus the rational combine.
-dispatch::TuneCost cost_exp2(std::size_t n) { return detail::stream_cost(n, 12.0); }
-dispatch::TuneCost cost_expm1(std::size_t n) { return detail::stream_cost(n, 18.0); }
-dispatch::TuneCost cost_log1p(std::size_t n) { return detail::stream_cost(n, 20.0); }
-dispatch::TuneCost cost_tanh(std::size_t n) { return detail::stream_cost(n, 25.0); }
-const dispatch::cost_registrar kExp2Cost("vecmath.exp2", &cost_exp2);
-const dispatch::cost_registrar kExpm1Cost("vecmath.expm1", &cost_expm1);
-const dispatch::cost_registrar kLog1pCost("vecmath.log1p", &cost_log1p);
-const dispatch::cost_registrar kTanhCost("vecmath.tanh", &cost_tanh);
-
 using sve::Vec;
 using sve::VecS64;
 using sve::VecU64;
@@ -220,28 +187,28 @@ void drive(std::span<const double> x, std::span<double> y, Fn&& fn) {
 }  // namespace
 
 void exp2_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kExp2Table.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kExp2Table.resolve()) {
     fn(x, y);
     return;
   }
   drive(x, y, [](const Vec& v) { return exp2(v); });
 }
 void expm1_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kExpm1Table.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kExpm1Table.resolve()) {
     fn(x, y);
     return;
   }
   drive(x, y, [](const Vec& v) { return expm1(v); });
 }
 void log1p_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kLog1pTable.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kLog1pTable.resolve()) {
     fn(x, y);
     return;
   }
   drive(x, y, [](const Vec& v) { return log1p(v); });
 }
 void tanh_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kTanhTable.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kTanhTable.resolve()) {
     fn(x, y);
     return;
   }

@@ -49,30 +49,6 @@ double check_pow(simd::Backend b) {
 const dispatch::check_registrar kLogCheck("vecmath.log", &check_log, 2.0);
 const dispatch::check_registrar kPowCheck("vecmath.pow", &check_pow, 16.0);
 
-double tune_log(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, 1e-300, 1e300,
-                                  [](auto in, auto out) { log_array(in, out); });
-}
-double tune_pow(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, 0.001, 100.0, [](auto in, auto out) {
-    std::vector<double> e(in.size());
-    for (std::size_t i = 0; i < e.size(); ++i) {
-      e[i] = -3.0 + 0.37 * static_cast<double>(i % 17);
-    }
-    pow_array(in, {e.data(), e.size()}, out);
-  });
-}
-
-const dispatch::tune_registrar kLogTune("vecmath.log", &tune_log);
-const dispatch::tune_registrar kPowTune("vecmath.pow", &tune_pow);
-
-// log: binade split + degree-7 polynomial; pow = log + multiply + exp,
-// and its probe streams a third array (the exponents).
-dispatch::TuneCost cost_log(std::size_t n) { return detail::stream_cost(n, 20.0); }
-dispatch::TuneCost cost_pow(std::size_t n) { return detail::stream_cost(n, 40.0, 1.0); }
-const dispatch::cost_registrar kLogCost("vecmath.log", &cost_log);
-const dispatch::cost_registrar kPowCost("vecmath.pow", &cost_pow);
-
 constexpr double kLn2Hi = 0x1.62e42fefa0000p-1;
 constexpr double kLn2Lo = 0x1.cf79abc9e3b3ap-40;
 constexpr std::uint64_t kFractionMask = (1ull << 52) - 1;
@@ -160,7 +136,7 @@ Vec pow(const Vec& x, const Vec& y) {
 }
 
 void log_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kLogTable.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kLogTable.resolve()) {
     fn(x, y);
     return;
   }
@@ -171,7 +147,7 @@ void log_array(std::span<const double> x, std::span<double> y) {
 }
 
 void pow_array(std::span<const double> x, std::span<const double> y, std::span<double> z) {
-  if (PowArrayFn* fn = kPowTable.resolve(x.size())) {
+  if (PowArrayFn* fn = kPowTable.resolve()) {
     fn(x, y, z);
     return;
   }

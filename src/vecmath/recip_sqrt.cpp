@@ -39,27 +39,6 @@ double check_sqrt(simd::Backend b) {
 const dispatch::check_registrar kRecipCheck("vecmath.recip", &check_recip, 2.0);
 const dispatch::check_registrar kSqrtCheck("vecmath.sqrt", &check_sqrt, 2.0);
 
-double tune_recip(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, 1e-300, 1e300, [](auto in, auto out) {
-    recip_array(in, out, DivSqrtStrategy::kNewton);
-  });
-}
-double tune_sqrt(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, 1e-300, 1e300, [](auto in, auto out) {
-    sqrt_array(in, out, DivSqrtStrategy::kNewton);
-  });
-}
-
-const dispatch::tune_registrar kRecipTune("vecmath.recip", &tune_recip);
-const dispatch::tune_registrar kSqrtTune("vecmath.sqrt", &tune_sqrt);
-
-// Estimate + three Newton steps + fused residual (recip); rsqrt pays
-// one more multiply per step to form x*y*y.
-dispatch::TuneCost cost_recip(std::size_t n) { return detail::stream_cost(n, 10.0); }
-dispatch::TuneCost cost_sqrt(std::size_t n) { return detail::stream_cost(n, 12.0); }
-const dispatch::cost_registrar kRecipCost("vecmath.recip", &cost_recip);
-const dispatch::cost_registrar kSqrtCost("vecmath.sqrt", &cost_sqrt);
-
 }  // namespace
 
 using sve::Vec;
@@ -118,7 +97,7 @@ void drive(std::span<const double> x, std::span<double> y, Fn&& fn) {
 }  // namespace
 
 void recip_array(std::span<const double> x, std::span<double> y, DivSqrtStrategy strategy) {
-  if (StrategyArrayFn* fn = kRecipTable.resolve(x.size())) {
+  if (StrategyArrayFn* fn = kRecipTable.resolve()) {
     fn(x, y, strategy);
     return;
   }
@@ -130,7 +109,7 @@ void recip_array(std::span<const double> x, std::span<double> y, DivSqrtStrategy
 }
 
 void sqrt_array(std::span<const double> x, std::span<double> y, DivSqrtStrategy strategy) {
-  if (StrategyArrayFn* fn = kSqrtTable.resolve(x.size())) {
+  if (StrategyArrayFn* fn = kSqrtTable.resolve()) {
     fn(x, y, strategy);
     return;
   }

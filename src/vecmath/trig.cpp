@@ -40,24 +40,6 @@ double check_cos(simd::Backend b) {
 const dispatch::check_registrar kSinCheck("vecmath.sin", &check_sin, 2.0);
 const dispatch::check_registrar kCosCheck("vecmath.cos", &check_cos, 2.0);
 
-double tune_sin(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -100.0, 100.0,
-                                  [](auto in, auto out) { sin_array(in, out); });
-}
-double tune_cos(simd::Backend b, std::size_t n) {
-  return detail::backend_tune_run(b, n, -100.0, 100.0,
-                                  [](auto in, auto out) { cos_array(in, out); });
-}
-
-const dispatch::tune_registrar kSinTune("vecmath.sin", &tune_sin);
-const dispatch::tune_registrar kCosTune("vecmath.cos", &tune_cos);
-
-// Three-part Cody-Waite pi/2 reduction + degree-6/7 polynomial.
-dispatch::TuneCost cost_sin(std::size_t n) { return detail::stream_cost(n, 20.0); }
-dispatch::TuneCost cost_cos(std::size_t n) { return detail::stream_cost(n, 20.0); }
-const dispatch::cost_registrar kSinCost("vecmath.sin", &cost_sin);
-const dispatch::cost_registrar kCosCost("vecmath.cos", &cost_cos);
-
 // Cody-Waite split of pi/2 into three parts; n * kPio2_1 is exact for
 // |n| < 2^24 because the low 27 bits of each part are zero.
 constexpr double kTwoOverPi = 0x1.45f306dc9c883p-1;
@@ -127,7 +109,7 @@ Vec sin(const Vec& x) { return sincos_impl(x, 0); }
 Vec cos(const Vec& x) { return sincos_impl(x, 1); }
 
 void sin_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kSinTable.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kSinTable.resolve()) {
     fn(x, y);
     return;
   }
@@ -138,7 +120,7 @@ void sin_array(std::span<const double> x, std::span<double> y) {
 }
 
 void cos_array(std::span<const double> x, std::span<double> y) {
-  if (UnaryArrayFn* fn = kCosTable.resolve(x.size())) {
+  if (UnaryArrayFn* fn = kCosTable.resolve()) {
     fn(x, y);
     return;
   }

@@ -9,13 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "ookami/dispatch/autotune.hpp"
 #include "ookami/dispatch/override.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/simd/backend.hpp"
@@ -341,216 +337,6 @@ TEST_F(RegistryTest, ObservationRecordsResolvedKernels) {
   (void)alpha_table().resolve();
   begin_observation();
   EXPECT_TRUE(take_observation().empty());
-}
-
-// --- autotune.hpp: empirical per-size-class winner selection -------------
-
-// test.delta registers one native variant (avx2) plus a deterministic
-// calibration probe that always ranks avx2 ahead of scalar, so the
-// autotuned winner is machine-independent.
-int tag_delta_avx2() { return 302; }
-
-double delta_tune(Backend b, std::size_t /*n*/) {
-  return b == Backend::kAvx2 ? 1e-6 : 2e-6;
-}
-
-const kernel_table<TagFn>& delta_table() {
-  static const kernel_table<TagFn> t("test.delta");
-  static const variant_registrar<TagFn> avx2("test.delta", Backend::kAvx2, &tag_delta_avx2);
-  static const tune_registrar tune("test.delta", &delta_tune);
-  return t;
-}
-
-class AutotuneTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    delta_table();
-    set_overrides_for_testing({});
-    unsetenv("OOKAMI_TUNE_FILE");
-    set_autotune_enabled_for_testing(1);
-    reset_autotune_for_testing();
-  }
-  void TearDown() override {
-    set_overrides_for_testing({});
-    unsetenv("OOKAMI_TUNE_FILE");
-    set_autotune_enabled_for_testing(-1);
-    reset_autotune_for_testing();
-  }
-  static std::string tmp_path(const char* leaf) { return ::testing::TempDir() + leaf; }
-};
-
-TEST(AutotuneSizeClass, Log2Buckets) {
-  EXPECT_EQ(size_class_of(0), 0);
-  EXPECT_EQ(size_class_of(1), 0);
-  EXPECT_EQ(size_class_of(2), 1);
-  EXPECT_EQ(size_class_of(3), 1);
-  EXPECT_EQ(size_class_of(1023), 9);
-  EXPECT_EQ(size_class_of(1024), 10);
-  EXPECT_EQ(size_class_of((std::size_t{1} << 20) - 1), 19);
-  EXPECT_EQ(size_class_of(std::size_t{1} << 20), 20);
-}
-
-TEST_F(AutotuneTest, FirstSizedResolveCalibratesThenCaches) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  ASSERT_EQ(calibration_count(), 0u);
-  Backend used = Backend::kScalar;
-  TagFn* fn = delta_table().resolve(1000, used);
-  ASSERT_NE(fn, nullptr);
-  EXPECT_EQ(fn(), 302);
-  EXPECT_EQ(used, Backend::kAvx2);
-  EXPECT_EQ(calibration_count(), 1u);
-  // Same size-class (floor(log2) == 9): pure table hit.
-  (void)delta_table().resolve(513, used);
-  (void)delta_table().resolve(1023, used);
-  EXPECT_EQ(calibration_count(), 1u);
-  // A different size-class calibrates once more, then also caches.
-  (void)delta_table().resolve(100000, used);
-  EXPECT_EQ(calibration_count(), 2u);
-  (void)delta_table().resolve(90000, used);
-  EXPECT_EQ(calibration_count(), 2u);
-
-  const std::vector<TuneRow> rows = tuning_table();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].kernel, "test.delta");
-  EXPECT_EQ(rows[0].size_class, 9);
-  EXPECT_EQ(rows[0].winner, Backend::kAvx2);
-  ASSERT_EQ(rows[0].measured.size(), 2u);  // scalar + avx2 candidates
-  EXPECT_EQ(rows[1].size_class, 16);
-}
-
-TEST_F(AutotuneTest, ObservationReportsAutotuneProvenance) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  begin_observation();
-  (void)delta_table().resolve(1000);
-  const auto observed = take_observation();
-  ASSERT_EQ(observed.size(), 1u);
-  EXPECT_EQ(observed[0].kernel, "test.delta");
-  EXPECT_EQ(observed[0].backend, Backend::kAvx2);
-  EXPECT_EQ(observed[0].provenance, Provenance::kAutotune);
-}
-
-TEST_F(AutotuneTest, UnsizedResolveNeverCalibrates) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  (void)delta_table().resolve();
-  EXPECT_EQ(calibration_count(), 0u);
-}
-
-TEST_F(AutotuneTest, ScopedBackendAndEnvRuleOutrankAutotune) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  {
-    // Precedence 1: a ScopedBackend skips autotune entirely (this is
-    // also what keeps TuneFn-owned calibration from recursing).
-    simd::ScopedBackend force(Backend::kScalar);
-    EXPECT_EQ(delta_table().resolve(1000), nullptr);
-    EXPECT_EQ(calibration_count(), 0u);
-  }
-  // Precedence 2: an OOKAMI_KERNEL_BACKEND rule also wins over the
-  // tuning table, with env-rule provenance.
-  set_overrides_for_testing(parse_overrides("test.delta=scalar"));
-  begin_observation();
-  EXPECT_EQ(delta_table().resolve(1000), nullptr);
-  const auto observed = take_observation();
-  ASSERT_EQ(observed.size(), 1u);
-  EXPECT_EQ(observed[0].provenance, Provenance::kEnvRule);
-  EXPECT_EQ(calibration_count(), 0u);
-}
-
-TEST_F(AutotuneTest, KillSwitchFallsBackToCeiling) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  set_autotune_enabled_for_testing(0);  // what OOKAMI_AUTOTUNE=0 does
-  begin_observation();
-  Backend used = Backend::kScalar;
-  TagFn* fn = delta_table().resolve(1000, used);
-  ASSERT_NE(fn, nullptr);          // ceiling still clamps into avx2
-  EXPECT_EQ(used, Backend::kAvx2);
-  EXPECT_EQ(calibration_count(), 0u);
-  const auto observed = take_observation();
-  ASSERT_EQ(observed.size(), 1u);
-  EXPECT_EQ(observed[0].provenance, Provenance::kCeiling);
-}
-
-TEST_F(AutotuneTest, PersistenceRoundTrip) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  const std::string path = tmp_path("ookami_tune_roundtrip.json");
-  (void)delta_table().resolve(1000);
-  ASSERT_EQ(calibration_count(), 1u);
-  std::string error;
-  ASSERT_TRUE(save_tune_file(path, &error)) << error;
-
-  reset_autotune_for_testing();
-  ASSERT_TRUE(tuning_table().empty());
-  ASSERT_TRUE(load_tune_file(path, &error)) << error;
-  const std::vector<TuneRow> rows = tuning_table();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].kernel, "test.delta");
-  EXPECT_EQ(rows[0].size_class, 9);
-  EXPECT_EQ(rows[0].winner, Backend::kAvx2);
-  // The loaded table is a warm cache: resolving again re-measures nothing.
-  Backend used = Backend::kScalar;
-  (void)delta_table().resolve(1000, used);
-  EXPECT_EQ(used, Backend::kAvx2);
-  EXPECT_EQ(calibration_count(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST_F(AutotuneTest, EnvFileMakesSecondRunFullyWarm) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  const std::string path = tmp_path("ookami_tune_warm.json");
-  std::remove(path.c_str());
-  setenv("OOKAMI_TUNE_FILE", path.c_str(), 1);
-  // "First run": calibrates and persists the table as a side effect.
-  (void)delta_table().resolve(1000);
-  EXPECT_EQ(calibration_count(), 1u);
-  // "Second run": fresh state, same env — the lazy load satisfies the
-  // resolve with zero calibration re-runs (the CI warm-start check).
-  reset_autotune_for_testing();
-  Backend used = Backend::kScalar;
-  (void)delta_table().resolve(1000, used);
-  EXPECT_EQ(used, Backend::kAvx2);
-  EXPECT_EQ(calibration_count(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST_F(AutotuneTest, StrictLoadRejectsMalformedAndUnversionedFiles) {
-  const std::string path = tmp_path("ookami_tune_bad.json");
-  std::string error;
-  // Unreadable.
-  std::remove(path.c_str());
-  EXPECT_FALSE(load_tune_file(path, &error));
-  // Bad JSON.
-  { std::ofstream(path) << "{nope"; }
-  error.clear();
-  EXPECT_FALSE(load_tune_file(path, &error));
-  EXPECT_FALSE(error.empty());
-  // Well-formed JSON, wrong/missing schema tag.
-  { std::ofstream(path) << R"({"schema": "bogus-9", "entries": []})"; }
-  error.clear();
-  EXPECT_FALSE(load_tune_file(path, &error));
-  EXPECT_NE(error.find("schema"), std::string::npos);
-  // Versioned but with a malformed row: rejected all-or-nothing.
-  {
-    std::ofstream(path) << R"({"schema": "ookami-tune-1", "entries": [)"
-                        << R"({"kernel": "k", "size_class": 3, "winner": "neon"}]})";
-  }
-  error.clear();
-  EXPECT_FALSE(load_tune_file(path, &error));
-  EXPECT_TRUE(tuning_table().empty());
-  // A table tuned by a build that still had a since-removed backend: a
-  // row naming it as winner or in measured_us rejects the whole file,
-  // valid rows included.
-  for (const char* stale :
-       {R"({"kernel": "k", "size_class": 3, "winner": "sse2"})",
-        R"({"kernel": "k", "size_class": 3, "winner": "avx2", )"
-        R"("measured_us": {"scalar": 2.0, "sse2": 1.5, "avx2": 1.0}})"}) {
-    std::ofstream(path) << R"({"schema": "ookami-tune-1", "entries": [)"
-                        << R"({"kernel": "ok", "size_class": 4, "winner": "scalar"}, )" << stale
-                        << "]}";
-    error.clear();
-    EXPECT_FALSE(load_tune_file(path, &error)) << stale;
-    EXPECT_NE(error.find("backend"), std::string::npos) << error;
-    EXPECT_TRUE(tuning_table().empty()) << stale;
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

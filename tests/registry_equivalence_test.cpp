@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "ookami/common/threadpool.hpp"
+#include "ookami/dispatch/override.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/hpcc/hpcc.hpp"
 #include "ookami/loops/kernels.hpp"
@@ -80,23 +83,66 @@ TEST(RegistryManifest, EveryKernelRegistersCompiledVariants) {
   }
 }
 
-TEST(RegistryManifest, EveryCalibrationProbeIsBounded) {
-  // A calibration runs inside the first sized call of a kernel, so its
-  // probe must not grow with the caller's n: every cost model (which
-  // prices the probe) must be flat beyond 2^22 and stay cache-scale.
-  int priced = 0;
-  for (const dispatch::KernelInfo& k : dispatch::kernels()) {
-    if (!module_kernel(k) || !k.has_cost) continue;
-    const dispatch::CostFn cost = dispatch::cost(k.name);
-    ASSERT_NE(cost, nullptr) << k.name;
-    const dispatch::TuneCost at22 = cost(std::size_t{1} << 22);
-    const dispatch::TuneCost at30 = cost(std::size_t{1} << 30);
-    EXPECT_EQ(at30.bytes, at22.bytes) << k.name << " probe traffic grows with n";
-    EXPECT_EQ(at30.flops, at22.flops) << k.name << " probe work grows with n";
-    EXPECT_LE(at30.bytes, 16.0 * 1024 * 1024) << k.name;
-    ++priced;
+TEST(RegistryManifest, CallSitesResolveByTheStaticRule) {
+  // One small call through every module entry point.  With no scoped
+  // backend and no per-kernel rule, each call site must resolve by the
+  // ceiling: the widest registered variant the CPU supports, capped at
+  // the active (OOKAMI_SIMD_BACKEND / CPUID) backend, else scalar.
+  // The empty rule set keeps a stray OOKAMI_KERNEL_BACKEND out of it.
+  dispatch::set_overrides_for_testing({});
+  std::vector<double> x(257), e(257), y(257);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.5 + 0.01 * static_cast<double>(i);
+    e[i] = 1.5;
   }
-  EXPECT_GT(priced, 0) << "no kernel registered a cost model";
+  namespace vm = ookami::vecmath;
+  dispatch::begin_observation();
+  vm::exp_array(x, y);
+  vm::log_array(x, y);
+  vm::pow_array(x, e, y);
+  vm::sin_array(x, y);
+  vm::cos_array(x, y);
+  vm::exp2_array(x, y);
+  vm::expm1_array(x, y);
+  vm::log1p_array(x, y);
+  vm::tanh_array(x, y);
+  vm::recip_array(x, y);
+  vm::sqrt_array(x, y);
+  {
+    const std::size_t n = 16;
+    std::vector<double> a(n * n, 0.5), b(n * n, 0.25), c(n * n);
+    ookami::ThreadPool pool(1);
+    ookami::hpcc::dgemm(ookami::hpcc::GemmImpl::kTuned, n, a.data(), b.data(), c.data(), pool);
+    const ookami::npb::CsrMatrix m = ookami::npb::cg_makea(600, 8, 12.0);
+    std::vector<double> v(static_cast<std::size_t>(m.n), 1.0), w(v.size());
+    ookami::npb::spmv(m, v, w, pool);
+  }
+  ookami::lulesh::Options opt;
+  opt.edge_elems = 6;
+  opt.max_steps = 2;
+  opt.variant = ookami::lulesh::Variant::kVect;
+  (void)ookami::lulesh::run_sedov(opt);
+  ookami::loops::LoopData d = ookami::loops::make_loop_data(ookami::loops::LoopKind::kSimple, 64);
+  ookami::loops::run_sve(ookami::loops::LoopKind::kSimple, d);
+  const std::vector<dispatch::Observation> observed = dispatch::take_observation();
+
+  int checked = 0;
+  for (const dispatch::KernelInfo& k : dispatch::kernels()) {
+    if (!module_kernel(k)) continue;
+    Backend want = Backend::kScalar;
+    for (Backend b : k.variants) {
+      if (simd::backend_supported(b) && b <= simd::active_backend()) want = b;
+    }
+    const auto it = std::find_if(observed.begin(), observed.end(),
+                                 [&](const dispatch::Observation& o) { return o.kernel == k.name; });
+    ASSERT_NE(it, observed.end()) << k.name << " was not resolved by its call site";
+    EXPECT_EQ(it->provenance, dispatch::Provenance::kCeiling)
+        << k.name << " resolved by " << dispatch::provenance_name(it->provenance);
+    EXPECT_EQ(it->backend, want) << k.name << " ran " << simd::backend_name(it->backend)
+                                 << ", the rule gives " << simd::backend_name(want);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 15);
 }
 
 TEST(RegistryEquivalence, EveryKernelHasACheck) {
