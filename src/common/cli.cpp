@@ -1,5 +1,6 @@
 #include "ookami/common/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -36,6 +37,14 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const 
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+std::vector<std::string> Cli::unknown(const std::vector<std::string>& known) const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) out.push_back(name);
+  }
+  return out;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

@@ -18,6 +18,10 @@ public:
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 
+  /// Option names given on the command line that are not in `known`, in
+  /// name order, so a tool can refuse a flag it does not implement.
+  [[nodiscard]] std::vector<std::string> unknown(const std::vector<std::string>& known) const;
+
   /// Positional (non --option) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 

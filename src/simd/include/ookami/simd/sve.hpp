@@ -15,10 +15,10 @@
 // kernels use on VecU64 (+, &, |, logical shifts, table gather) is
 // bit-pattern identical in two's complement.
 //
-// fexpa() reads the same 64-entry table as sve::fexpa_scalar through the
-// same op sequence ((u >> 6) & 0x7ff) << 52 | table[u & 0x3f], so every
-// backend's FEXPA is bit-identical to the scalar instruction model by
-// construction.
+// fexpa() reads the same constexpr 64-entry table as sve::fexpa_scalar
+// (sve::kFexpaTable) through the same op sequence
+// ((u >> 6) & 0x7ff) << 52 | table[u & 0x3f], so every backend's FEXPA
+// is bit-identical to the scalar instruction model by construction.
 
 #include <cmath>
 #include <cstdint>
@@ -41,7 +41,7 @@ inline batch<double, N, A> fexpa(const batch<T, N, A>& u) {
   using I = batch<std::int64_t, N, A>;
   const I idx = u & I::dup(0x3f);
   const I expo = shr(u, 6) & I::dup(0x7ff);
-  const I frac = I::gather_table(ookami::sve::fexpa_table(), idx);
+  const I frac = I::gather_table(ookami::sve::kFexpaTable, idx);
   return bitcast_f64(shl(expo, 52) | frac);
 }
 

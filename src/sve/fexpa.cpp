@@ -1,6 +1,5 @@
 #include "ookami/sve/fexpa.hpp"
 
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -10,24 +9,6 @@ namespace ookami::sve {
 namespace {
 
 constexpr std::uint64_t kFractionMask = (1ull << 52) - 1;
-
-std::array<std::uint64_t, 64> build_fexpa_table() {
-  std::array<std::uint64_t, 64> t{};
-  for (int i = 0; i < 64; ++i) {
-    // Correctly rounded double 2^(i/64) lies in [1, 2); its fraction
-    // field is exactly the table entry the hardware stores.
-    const double v = std::exp2(static_cast<double>(i) / 64.0);
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    t[static_cast<std::size_t>(i)] = bits & kFractionMask;
-  }
-  return t;
-}
-
-const std::array<std::uint64_t, 64>& table() {
-  static const std::array<std::uint64_t, 64> t = build_fexpa_table();
-  return t;
-}
 
 /// Truncate a positive finite double's fraction field to `bits` bits —
 /// models the low-precision table lookup of FRECPE/FRSQRTE.
@@ -43,12 +24,10 @@ double truncate_fraction(double x, int bits) {
 
 }  // namespace
 
-const std::uint64_t* fexpa_table() { return table().data(); }
-
 std::uint64_t fexpa_scalar(std::uint64_t in) {
   const std::uint64_t idx = in & 0x3f;            // bits [5:0]
   const std::uint64_t exponent = (in >> 6) & 0x7ff;  // bits [16:6]
-  return (exponent << 52) | table()[idx];
+  return (exponent << 52) | kFexpaTable[idx];
 }
 
 Vec fexpa(const VecU64& u) {

@@ -48,7 +48,7 @@ double check_tanh(simd::Backend b) {
 const dispatch::check_registrar kExp2Check("vecmath.exp2", &check_exp2, 2.0);
 const dispatch::check_registrar kExpm1Check("vecmath.expm1", &check_expm1, 2.0);
 const dispatch::check_registrar kLog1pCheck("vecmath.log1p", &check_log1p, 2.0);
-const dispatch::check_registrar kTanhCheck("vecmath.tanh", &check_tanh, 4.0);
+const dispatch::check_registrar kTanhCheck("vecmath.tanh", &check_tanh, 2.0);
 
 using sve::Vec;
 using sve::VecS64;

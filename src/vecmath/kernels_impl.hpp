@@ -7,10 +7,10 @@
 // order, with the reference's per-lane special-case loops replaced by
 // predicated selects.  Because every batch operation involved is either
 // exact (bit ops, FEXPA table lookup) or correctly rounded (add/sub/mul/
-// div/sqrt, true-FMA), the results are bit-identical to the scalar
-// reference on non-special lanes and ULP-equivalent everywhere; the
-// backend equivalence tests in tests/vecmath_backend_test.cpp pin this
-// down per function.
+// div/sqrt, true-FMA), and the module is built with -ffp-contract=off so
+// the compiler fuses no separate multiply and add, the results are
+// bit-identical to the scalar reference; the backend equivalence tests
+// in tests/vecmath_backend_test.cpp pin this down per function.
 //
 // This header is private to the vecmath module: it is included only by
 // the per-arch backend TUs (backend_avx2.cpp, backend_avx512.cpp), each
@@ -104,12 +104,19 @@ void exp_array_impl(std::span<const double> x, std::span<double> y, LoopShape sh
   auto body = [&](const Pred& pg, std::size_t i) {
     const Vec in = SV::ld1(pg, x.data() + i);
     Vec out = exp_core<SV>(in, scheme, rounding);
-    const Pred over = SV::cmpgt(pg, in, SV::dup(kOverflowX));
-    const Pred under = SV::cmplt(pg, in, SV::dup(kUnderflowX));
-    const Pred isnan = SV::cmpuo(pg, in);
-    out = SV::sel(over, SV::dup(HUGE_VAL), out);
-    out = SV::sel(under, SV::dup(0.0), out);
-    out = SV::sel(isnan, in, out);
+    // A lane in [kUnderflowX, kOverflowX] (never NaN) is left alone by
+    // all three selects below, so they run only when an active lane
+    // falls outside it; the output bits are the same either way.
+    const Pred in_range = SV::cmpge(pg, in, SV::dup(kUnderflowX)) &
+                          SV::cmple(pg, in, SV::dup(kOverflowX));
+    if ((pg & !in_range).any()) {
+      const Pred over = SV::cmpgt(pg, in, SV::dup(kOverflowX));
+      const Pred under = SV::cmplt(pg, in, SV::dup(kUnderflowX));
+      const Pred isnan = SV::cmpuo(pg, in);
+      out = SV::sel(over, SV::dup(HUGE_VAL), out);
+      out = SV::sel(under, SV::dup(0.0), out);
+      out = SV::sel(isnan, in, out);
+    }
     SV::st1(pg, y.data() + i, out);
   };
 

@@ -47,7 +47,7 @@ double check_pow(simd::Backend b) {
 }
 
 const dispatch::check_registrar kLogCheck("vecmath.log", &check_log, 2.0);
-const dispatch::check_registrar kPowCheck("vecmath.pow", &check_pow, 16.0);
+const dispatch::check_registrar kPowCheck("vecmath.pow", &check_pow, 2.0);
 
 constexpr double kLn2Hi = 0x1.62e42fefa0000p-1;
 constexpr double kLn2Lo = 0x1.cf79abc9e3b3ap-40;

@@ -572,6 +572,14 @@ TEST(Cli, ParsesOptionsAndPositionals) {
   EXPECT_EQ(cli.positional()[0], "pos1");
 }
 
+TEST(Cli, UnknownNamesEveryOptionOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--resolved", "--tune", "pos", "--n=4"};
+  Cli cli(5, const_cast<char**>(argv));
+  EXPECT_EQ(cli.unknown({"help", "resolved", "checks"}), (std::vector<std::string>{"n", "tune"}));
+  EXPECT_TRUE(cli.unknown({"n", "resolved", "tune"}).empty());
+  EXPECT_EQ(cli.unknown({}), (std::vector<std::string>{"n", "resolved", "tune"}));
+}
+
 TEST(Aligned, VectorIsAligned) {
   avec<double> v(100);
   EXPECT_TRUE(is_aligned(v.data(), kDefaultAlignment));

@@ -127,7 +127,7 @@ TEST(Select, PicksPerLane) {
 // --- FEXPA -----------------------------------------------------------------
 
 TEST(Fexpa, TableIsFractionOfExp2) {
-  const std::uint64_t* t = fexpa_table();
+  const std::uint64_t* t = kFexpaTable;
   for (int i = 0; i < 64; ++i) {
     const double v = std::exp2(static_cast<double>(i) / 64.0);
     std::uint64_t bits;

@@ -5,26 +5,26 @@
 // plus the special-value corners (NaN/inf/zero/subnormal), where results
 // must agree bit-for-bit.
 //
-// Documented bounds (the kernels are ports of the same algorithm onto
-// the same op set, so in practice they agree bit-exactly; the bounds
-// below are the contract, not the observation):
-//   exp/log:            <= 2 ULP
-//   sin/cos:            <= 2 ULP  (same Cody-Waite reduction + polynomials)
-//   exp2/expm1/log1p:   <= 2 ULP
-//   tanh:               <= 4 ULP  (composes expm1)
-//   pow:                <= 16 ULP (composes exp(y log x))
-//   recip/sqrt Newton:  <= 2 ULP
+// Documented bound: 2 ULP for every function, the same as each kernel's
+// registered equivalence check.  The kernels are ports of the same
+// algorithm onto the same op set with FP contraction off, so they agree
+// bit-exactly; the bound is the contract, not the observation, and
+// ExpBitIdenticalWithSpecialsInFullVectors pins exp's exact bits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "backend_check.hpp"
 #include "ookami/common/rng.hpp"
+#include "ookami/dispatch/registry.hpp"
 #include "ookami/simd/backend.hpp"
 #include "ookami/vecmath/vecmath.hpp"
 
@@ -119,6 +119,67 @@ TEST_F(VecmathBackendTest, Exp) {
   }
 }
 
+// Special values at every lane position of full 8-lane vectors, so they
+// run through the full-vector body of every loop shape and not only its
+// predicated tail.  Each variant must give the scalar reference's bits.
+TEST_F(VecmathBackendTest, ExpBitIdenticalWithSpecialsInFullVectors) {
+  constexpr double kOverflowX = 709.782712893383973;  // exp.cpp's thresholds
+  constexpr double kUnderflowX = -708.396418532264106;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             inf,
+                             -inf,
+                             0.0,
+                             -0.0,
+                             4.9406564584124654e-324,
+                             std::nextafter(kOverflowX, inf),
+                             std::nextafter(kUnderflowX, -inf),
+                             kOverflowX,
+                             kUnderflowX};
+  std::vector<double> x(4096);
+  Xoshiro256 rng(23);
+  fill_uniform({x.data(), x.size()}, -700.0, 700.0, rng);
+  // Vector v holds specials[v / 8] in lane v % 8; the other lanes stay
+  // in range, and the vectors after the last special are all in range.
+  constexpr std::size_t kLanes = 8;
+  std::size_t v = 0;
+  for (double s : specials) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane, ++v) x[v * kLanes + lane] = s;
+  }
+
+  std::vector<double> ref(x.size()), got(x.size());
+  for (Backend b : native_backends()) {
+    for (LoopShape shape : {LoopShape::kVla, LoopShape::kFixed, LoopShape::kUnrolled2}) {
+      for (PolyScheme scheme : {PolyScheme::kHorner, PolyScheme::kEstrin}) {
+        for (Rounding rounding : {Rounding::kFast, Rounding::kCorrected}) {
+          {
+            ScopedBackend force(Backend::kScalar);
+            exp_array(x, ref, shape, scheme, rounding);
+          }
+          {
+            ScopedBackend force(b);
+            ASSERT_EQ(force.effective(), b);
+            exp_array(x, got, shape, scheme, rounding);
+          }
+          const std::string variant = std::string(simd::backend_name(b)) + " shape " +
+                                      std::to_string(static_cast<int>(shape)) + " scheme " +
+                                      std::to_string(static_cast<int>(scheme)) + " rounding " +
+                                      std::to_string(static_cast<int>(rounding));
+          int differ = 0;
+          for (std::size_t i = 0; i < x.size(); ++i) {
+            if (same_bits(ref[i], got[i])) continue;
+            if (++differ <= 3) {
+              ADD_FAILURE() << "exp(" << x[i] << ") lane " << i % kLanes << " on " << variant
+                            << ": ref=" << ref[i] << " got=" << got[i];
+            }
+          }
+          EXPECT_EQ(differ, 0) << variant;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(VecmathBackendTest, ExpPolySchemes) {
   const auto x = sweep(-30.0, 30.0, false);
   for (Backend b : native_backends()) {
@@ -162,7 +223,7 @@ TEST_F(VecmathBackendTest, Exp2Expm1Log1pTanh) {
     expect_equivalent(sweep(-0.9999, 1e6), b, 2.0, [](const auto& in, auto& out) {
       log1p_array({in.data(), in.size()}, {out.data(), out.size()});
     }, "log1p");
-    expect_equivalent(sweep(-25.0, 25.0), b, 4.0, [](const auto& in, auto& out) {
+    expect_equivalent(sweep(-25.0, 25.0), b, 2.0, [](const auto& in, auto& out) {
       tanh_array({in.data(), in.size()}, {out.data(), out.size()});
     }, "tanh");
   }
@@ -189,7 +250,7 @@ TEST_F(VecmathBackendTest, Pow) {
     }
     for (std::size_t i = 0; i < x.size(); ++i) {
       if (std::isfinite(ref[i]) && std::isfinite(got[i]) && ref[i] != 0.0) {
-        EXPECT_LE(static_cast<double>(ulp_distance(ref[i], got[i])), 16.0)
+        EXPECT_LE(static_cast<double>(ulp_distance(ref[i], got[i])), 2.0)
             << "pow(" << x[i] << ", " << y[i] << ") on " << simd::backend_name(b);
       } else if (std::isnan(ref[i])) {
         EXPECT_TRUE(std::isnan(got[i]))
@@ -235,6 +296,54 @@ TEST_F(VecmathBackendTest, OddSizesExerciseTailPredicates) {
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_LE(static_cast<double>(ulp_distance(ref[i], got[i])), 2.0)
             << "exp n=" << n << " i=" << i << " on " << simd::backend_name(b);
+      }
+    }
+  }
+}
+
+// The registered vecmath checks share detail::backend_ulp_check.  One
+// wrong native lane (NaN, +inf, or a finite value 3 ULP off) must make
+// it report more than the widest registered vecmath bound, so that lane
+// fails every vecmath check.
+TEST_F(VecmathBackendTest, UlpCheckCatchesOnePoisonedNativeLane) {
+  double widest = 0.0;
+  int checks = 0;
+  for (const dispatch::KernelInfo& k : dispatch::kernels()) {
+    if (k.name.rfind("vecmath.", 0) != 0 || !k.has_check) continue;
+    widest = std::max(widest, k.check_tolerance);
+    ++checks;
+  }
+  ASSERT_EQ(checks, 11);
+
+  struct Poison {
+    const char* name;
+    double (*apply)(double);
+    double reported;  // what the check must report, or 0 for "any"
+  };
+  const Poison poisons[] = {
+      {"NaN", [](double) { return std::numeric_limits<double>::quiet_NaN(); }, 0.0},
+      {"+inf", [](double) { return std::numeric_limits<double>::infinity(); }, 0.0},
+      {"3 ULP up",
+       [](double v) {
+         for (int k = 0; k < 3; ++k) v = std::nextafter(v, std::numeric_limits<double>::infinity());
+         return v;
+       },
+       3.0},
+  };
+  constexpr std::size_t kPoisoned = 517;  // a full-vector lane of the 1024
+  for (Backend b : native_backends()) {
+    EXPECT_EQ(detail::backend_ulp_check(b, -700.0, 700.0,
+                                        [](auto in, auto out) { exp_array(in, out); }),
+              0.0)
+        << simd::backend_name(b);
+    for (const Poison& poison : poisons) {
+      const double err = detail::backend_ulp_check(b, -700.0, 700.0, [&](auto in, auto out) {
+        exp_array(in, out);
+        if (simd::active_backend() != Backend::kScalar) out[kPoisoned] = poison.apply(out[kPoisoned]);
+      });
+      EXPECT_GT(err, widest) << poison.name << " on " << simd::backend_name(b);
+      if (poison.reported > 0.0) {
+        EXPECT_EQ(err, poison.reported) << poison.name << " on " << simd::backend_name(b);
       }
     }
   }

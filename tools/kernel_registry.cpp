@@ -8,6 +8,9 @@
 //   kernel_registry --checks    # name<TAB>tolerance of the registered
 //                               # equivalence check ("-" when missing)
 //
+// Any other flag is an error (exit 2), so a script asking for an output
+// this tool does not produce never gets the manifest instead.
+//
 // The binary links every kernel-owning module, so its default output is
 // the authoritative list of kernels compiled into this tree; CI diffs it
 // against tools/kernel_manifest.expected to catch variants that silently
@@ -43,6 +46,11 @@ const void* const kKernelLinkAnchors[] = {
 int main(int argc, char** argv) {
   const ookami::Cli cli(argc, argv);
   namespace dispatch = ookami::dispatch;
+  if (const auto bad = cli.unknown({"help", "resolved", "checks"}); !bad.empty()) {
+    std::fprintf(stderr, "%s: unknown option --%s (see --help)\n", cli.program().c_str(),
+                 bad.front().c_str());
+    return 2;
+  }
   if (cli.has("help")) {
     std::printf(
         "usage: %s [--resolved | --checks]\n"
