@@ -73,6 +73,11 @@ private:
 /// false), so a NaN result would pass a `worst <= tol` check.
 inline double nan_max(double worst, double d) { return (std::isnan(d) || d > worst) ? d : worst; }
 
+/// Min fold that stays NaN once it sees a NaN in either argument, and
+/// otherwise returns the same bits as std::min(best, d) (`best` on ties,
+/// so signed zeros fold exactly as std::min folds them).
+inline double nan_min(double best, double d) { return (std::isnan(d) || d < best) ? d : best; }
+
 /// Relative difference |a-b| / max(|a|,|b|,eps); convenient for tests.
 inline double rel_diff(double a, double b) {
   const double scale = std::max({std::abs(a), std::abs(b), 1e-300});

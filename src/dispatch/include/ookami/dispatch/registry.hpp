@@ -23,16 +23,13 @@
 //   // call-site TU: force the per-arch archive members to link
 //   OOKAMI_DISPATCH_USE_VARIANTS(loops_avx2)
 //
-// Resolution for a kernel keeps the PR-4 precedence, now per kernel:
-//
-//   1. a simd::ScopedBackend override (tests forcing one backend),
-//   2. a matching OOKAMI_KERNEL_BACKEND rule (see override.hpp),
-//   3. the global OOKAMI_SIMD_BACKEND / CPUID choice,
-//
-// always clamped down to the best *registered* variant the CPU supports
-// (never an error), and down to scalar — resolve() returning nullptr —
-// when nothing native fits.  Because the scalar fallback stays in the
-// caller, the scalar backend remains byte-for-byte the original code.
+// Every kernel resolves by one rule: start from simd::active_backend()
+// (a simd::ScopedBackend override, else OOKAMI_SIMD_BACKEND, else the
+// CPUID choice) and walk down to the best *registered* variant the CPU
+// supports (never an error), down to scalar — resolve() returning
+// nullptr — when nothing native fits.  Because the scalar fallback stays
+// in the caller, the scalar backend remains byte-for-byte the original
+// code.
 //
 // Modules may additionally register an equivalence check — a callback
 // that runs the kernel under a forced backend and under scalar and
@@ -68,16 +65,6 @@ struct KernelInfo {
   double check_tolerance = 0.0;
 };
 
-/// How a resolution arrived at its backend (for the harness archive).
-enum class Provenance {
-  kScoped,   ///< simd::ScopedBackend override
-  kEnvRule,  ///< OOKAMI_KERNEL_BACKEND rule
-  kCeiling,  ///< global OOKAMI_SIMD_BACKEND / CPUID choice
-};
-
-/// Stable lower-case token ("scoped", "env-rule", "ceiling").
-const char* provenance_name(Provenance p);
-
 namespace detail {
 
 struct Entry;  // registry internals (registry.cpp)
@@ -97,8 +84,8 @@ void add_variant(Entry* e, simd::Backend b, AnyFn fn, const std::type_info& sig)
 /// Attach the equivalence check for the kernel.
 void add_check(Entry* e, CheckFn fn, double tolerance);
 
-/// Resolve the backend for `e` under the precedence rules above and
-/// return the variant function (nullptr => scalar reference path).
+/// Resolve the backend for `e` by the rule above and return the
+/// variant function (nullptr => scalar reference path).
 /// `used` receives the post-clamp backend, scalar included.
 AnyFn resolve(Entry* e, simd::Backend& used, const std::type_info& sig);
 
@@ -173,18 +160,16 @@ std::string manifest();
 
 // --- Series observation (harness support) --------------------------------
 
-/// One observed resolution: which backend the kernel used and which
-/// precedence step chose it.
+/// One observed resolution: which backend the kernel used.
 struct Observation {
   std::string kernel;
   simd::Backend backend = simd::Backend::kScalar;
-  Provenance provenance = Provenance::kCeiling;
 };
 
 /// Between begin_observation() and take_observation() every resolve()
-/// records its (kernel, post-clamp backend, provenance).  The harness
-/// brackets each timed series with this to archive which variant the
-/// series actually exercised and why.  Observations dedupe by kernel
+/// records its (kernel, post-clamp backend).  The harness brackets each
+/// timed series with this to archive which variant the series actually
+/// exercised.  Observations dedupe by kernel
 /// (last resolution wins); scalar resolutions are recorded too.  Not
 /// reentrant — one observer at a time, which the single-threaded
 /// harness driver guarantees.

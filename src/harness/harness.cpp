@@ -77,8 +77,8 @@ std::string Options::usage() {
          "  --list            print registered bench names and exit\n"
          "  --list-kernels    print the kernel registry manifest and exit: one\n"
          "                    'name<TAB>scalar[,avx2[,avx512]]' line per registered\n"
-         "                    kernel (per-kernel overrides via OOKAMI_KERNEL_BACKEND,\n"
-         "                    e.g. \"hpcc.dgemm=avx2,vecmath.*=scalar\")\n"
+         "                    kernel; each runs its widest variant the CPU supports,\n"
+         "                    capped by OOKAMI_SIMD_BACKEND\n"
          "  --help            this message\n";
 }
 
@@ -119,11 +119,6 @@ json::Value Series::to_json(bool keep_samples) const {
     for (const auto& [kernel, b] : kernel_backends) kb.set(kernel, b);
     v.set("kernel_backends", std::move(kb));
   }
-  if (!kernel_provenance.empty()) {
-    json::Value kp = json::Value::object();
-    for (const auto& [kernel, p] : kernel_provenance) kp.set(kernel, p);
-    v.set("kernel_provenance", std::move(kp));
-  }
   v.set("count", static_cast<double>(stats.count()));
   // An empty Summary has no measurements; emit explicit nulls rather
   // than a plausible-looking 0.0 (non-finite doubles also serialize as
@@ -156,7 +151,7 @@ const Summary& Run::time(const std::string& series, const std::function<void()>&
                          const std::string& unit) {
   // Observe which registry kernels resolve (and to which post-clamp
   // variant) while this series runs, so the archived JSON records what
-  // the series actually exercised — per-kernel overrides included.
+  // the series actually exercised.
   dispatch::begin_observation();
   for (int i = 0; i < opts_.warmup; ++i) fn();
   // Under --metrics every repeat also lands in a log-bucketed latency
@@ -188,7 +183,6 @@ const Summary& Run::time(const std::string& series, const std::function<void()>&
     bool uniform = true;
     for (const dispatch::Observation& o : observed) {
       out.kernel_backends.emplace_back(o.kernel, simd::backend_name(o.backend));
-      out.kernel_provenance.emplace_back(o.kernel, dispatch::provenance_name(o.provenance));
       if (o.backend != observed.front().backend) uniform = false;
     }
     out.backend = uniform ? simd::backend_name(observed.front().backend) : "mixed";

@@ -117,16 +117,13 @@ struct Series {
   Summary stats;
   /// SIMD backend the series actually exercised.  Timed series that
   /// resolved registry kernels report the observed post-clamp variant
-  /// ("mixed" when different kernels resolved differently, e.g. under a
-  /// per-kernel OOKAMI_KERNEL_BACKEND override); otherwise the backend
-  /// active when the series was registered.
+  /// ("mixed" when different kernels resolved differently, e.g. one
+  /// kernel registered no variant as wide as the others); otherwise the
+  /// backend active when the series was registered.
   std::string backend;
   /// Registry kernels resolved while the series ran, as (kernel,
   /// post-clamp backend) pairs — empty when the series touched none.
   std::vector<std::pair<std::string, std::string>> kernel_backends;
-  /// Parallel to kernel_backends: which precedence step chose each
-  /// backend ("scoped", "env-rule", "ceiling").
-  std::vector<std::pair<std::string, std::string>> kernel_provenance;
 
   [[nodiscard]] json::Value to_json(bool keep_samples) const;
 };

@@ -60,6 +60,19 @@ void fill_inputs(std::span<double> out, std::uint64_t seed, std::uint64_t salt, 
   }
 }
 
+/// Job vector `slot` of the calling thread, resized to n.  Each pool
+/// thread keeps its vectors across jobs (at the largest size it has
+/// served), so a job allocates nothing: per-job buffers of 128 KiB and
+/// up would otherwise be carved from the allocator's per-thread arenas,
+/// and the daemon's peak footprint would depend on where earlier
+/// allocations happened to leave room for them.
+std::vector<double>& job_vector(int slot, std::size_t n) {
+  thread_local std::vector<double> kept[3];
+  std::vector<double>& v = kept[slot];
+  v.resize(n);
+  return v;
+}
+
 /// Element-wise vecmath jobs: x -> f(x) over `n` doubles.  The whole
 /// batch is one parallel_for over *jobs*; every job is computed inside
 /// a single worker chunk, so chunking never moves element boundaries
@@ -70,8 +83,8 @@ void run_elementwise(std::span<BatchItem> items, ThreadPool& pool) {
   pool.parallel_for(0, items.size(), [&](std::size_t begin, std::size_t end, unsigned) {
     for (std::size_t j = begin; j < end; ++j) {
       BatchItem& item = items[j];
-      std::vector<double> x(item.n);
-      std::vector<double> y(item.n);
+      std::vector<double>& x = job_vector(0, item.n);
+      std::vector<double>& y = job_vector(1, item.n);
       fill_inputs(x, item.seed, /*salt=*/1, Lo, Hi);
       Fn(x, y);
       item.digest = digest_doubles(y.data(), y.size());
@@ -147,8 +160,8 @@ void run_spmv(std::span<BatchItem> items, ThreadPool& pool) {
   pool.parallel_for(0, items.size(), [&](std::size_t begin, std::size_t end, unsigned) {
     for (std::size_t j = begin; j < end; ++j) {
       BatchItem& item = items[j];
-      std::vector<double> x(item.n);
-      std::vector<double> y(item.n);
+      std::vector<double>& x = job_vector(0, item.n);
+      std::vector<double>& y = job_vector(1, item.n);
       fill_inputs(x, item.seed, /*salt=*/3, -1.0, 1.0);
       // Nested submission degrades to serial inside a worker chunk (the
       // pool's one-region rule), keeping the job self-contained.
@@ -164,9 +177,10 @@ void run_dgemm(std::span<BatchItem> items, ThreadPool& pool) {
     for (std::size_t j = begin; j < end; ++j) {
       BatchItem& item = items[j];
       const std::size_t n = item.n;
-      std::vector<double> a(n * n);
-      std::vector<double> b(n * n);
-      std::vector<double> c(n * n, 0.0);
+      std::vector<double>& a = job_vector(0, n * n);
+      std::vector<double>& b = job_vector(1, n * n);
+      std::vector<double>& c = job_vector(2, n * n);
+      std::fill(c.begin(), c.end(), 0.0);
       fill_inputs(a, item.seed, /*salt=*/4, -1.0, 1.0);
       fill_inputs(b, item.seed, /*salt=*/5, -1.0, 1.0);
       hpcc::dgemm(hpcc::GemmImpl::kTuned, n, a.data(), b.data(), c.data(), pool);

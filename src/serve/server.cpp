@@ -273,8 +273,9 @@ void Server::handle_request(int fd, const HttpRequest& req) {
       json::Value entry = json::Value::object();
       entry.set("kernel", k.name);
       entry.set("max_n", static_cast<unsigned long long>(k.max_n));
-      // Static resolution (env rules + CPUID ceiling): what a request
-      // with no backend constraint runs.
+      // Static resolution (the widest variant the CPU supports, capped
+      // by OOKAMI_SIMD_BACKEND): what a request with no backend
+      // constraint runs.
       entry.set("backend", simd::backend_name(dispatch::resolved_backend(k.name)));
       arr.push_back(std::move(entry));
     }

@@ -134,8 +134,6 @@ Backend active_backend() {
   return env_or_detected();
 }
 
-bool scoped_backend_active() { return g_override.load(std::memory_order_relaxed) >= 0; }
-
 ScopedBackend::ScopedBackend(Backend b)
     : prev_(g_override.load(std::memory_order_relaxed)), effective_(clamp_backend(b)) {
   g_override.store(static_cast<int>(effective_), std::memory_order_relaxed);

@@ -2,20 +2,18 @@
 // Compile-time architecture tags for the fixed-width SIMD layer.
 //
 // Each tag names an instruction-set backend a kernel can be instantiated
-// against.  The scalar tag is always available; the x86 tags are only
-// *defined as usable* inside translation units compiled with the matching
-// instruction-set flags (see batch_avx2.hpp / batch_avx512.hpp, whose batch
-// specializations are preprocessor-gated).  Keeping the tags themselves
-// unconditional lets dispatch tables name every backend on every platform
-// while the heavy template instantiations stay confined to the per-arch
-// translation units — this is what keeps the design ODR-clean: a given
-// batch<T, N, Arch> specialization is textually identical in every TU
-// that can see it, and TUs that lack the instruction set never see it.
+// against.  The tags are only *usable* inside translation units compiled
+// with the matching instruction-set flags (see batch_avx2.hpp /
+// batch_avx512.hpp, whose batch specializations are preprocessor-gated).
+// Keeping the tags themselves unconditional lets dispatch tables name
+// every backend on every platform while the heavy template
+// instantiations stay confined to the per-arch translation units — this
+// is what keeps the design ODR-clean: a given batch<T, N, Arch>
+// specialization is textually identical in every TU that can see it,
+// and TUs that lack the instruction set never see it.  The scalar
+// backend needs no tag: it is each module's own reference code.
 
 namespace ookami::simd::arch {
-
-/// Portable reference backend: plain per-lane loops, no intrinsics.
-struct scalar {};
 
 /// 256-bit AVX2 + FMA (x86-64-v3).  Four double lanes per register.
 struct avx2 {};
@@ -24,14 +22,5 @@ struct avx2 {};
 /// vector length as A64FX SVE, so one batch<double, 8> is one zmm and
 /// one mask is one hardware __mmask8 predicate.
 struct avx512 {};
-
-template <class A>
-inline constexpr const char* name = "unknown";
-template <>
-inline constexpr const char* name<scalar> = "scalar";
-template <>
-inline constexpr const char* name<avx2> = "avx2";
-template <>
-inline constexpr const char* name<avx512> = "avx512";
 
 }  // namespace ookami::simd::arch

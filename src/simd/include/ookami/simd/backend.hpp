@@ -46,13 +46,10 @@ bool backend_supported(Backend b);
 /// Best backend that is both compiled in and CPU-supported.
 Backend detected_backend();
 
-/// The backend dispatch tables should use right now.
+/// The backend dispatch should use right now, by the priority order
+/// above.  The kernel registry (ookami::dispatch) walks each kernel down
+/// from it to the best supported variant that kernel registered.
 Backend active_backend();
-
-/// True while a ScopedBackend override is in force.  The kernel registry
-/// (ookami::dispatch) uses this to keep the PR-4 precedence intact:
-/// a ScopedBackend outranks any per-kernel OOKAMI_KERNEL_BACKEND rule.
-bool scoped_backend_active();
 
 /// Clamp `b` to the best available backend that does not exceed it.
 Backend clamp_backend(Backend b);

@@ -5,7 +5,7 @@
 // keeps every other TU from ever seeing these specializations, which is
 // what keeps the multi-backend build ODR-clean.
 //
-// Exactness notes (vs the scalar reference in batch.hpp):
+// Exactness notes (vs the op contract in batch.hpp):
 //  * fma maps to vfmadd — a true single-rounding FMA, bit-identical to
 //    std::fma.
 //  * frintn maps to vroundpd(nearest) == std::nearbyint in the default
@@ -323,7 +323,7 @@ inline batch<double, N, arch::avx2> min(const batch<double, N, arch::avx2>& a,
   batch<double, N, arch::avx2> c;
   for (int k = 0; k < batch<double, N, arch::avx2>::kChunks; ++k)
     // VMINPD keeps src1 when src1<src2, else src2 (NaN/±0 ties -> src2),
-    // which is exactly the scalar reference a<b?a:b.
+    // which is exactly the contract's a<b?a:b.
     c.r[k] = _mm256_min_pd(a.r[k], b.r[k]);
   return c;
 }
@@ -416,7 +416,7 @@ inline batch<std::int64_t, N, arch::avx2> shl(const batch<std::int64_t, N, arch:
 
 template <int N>
 inline double reduce_add(const batch<double, N, arch::avx2>& a) {
-  // Pairwise, matching the scalar reference's reduction shape.
+  // The contract's pairwise tree.
   __m256d acc[batch<double, N, arch::avx2>::kChunks];
   for (int k = 0; k < batch<double, N, arch::avx2>::kChunks; ++k) acc[k] = a.r[k];
   int n = batch<double, N, arch::avx2>::kChunks;

@@ -11,7 +11,7 @@
 // single masked instructions instead of the blend/maskload emulation
 // the narrower backends need.
 //
-// Exactness notes (vs the scalar reference in batch.hpp):
+// Exactness notes (vs the op contract in batch.hpp):
 //  * fma maps to vfmadd — a true single-rounding FMA, bit-identical to
 //    std::fma.
 //  * frintn maps to vrndscalepd(nearest) == std::nearbyint in the
@@ -319,7 +319,7 @@ inline batch<double, N, arch::avx512> min(const batch<double, N, arch::avx512>& 
   batch<double, N, arch::avx512> c;
   for (int k = 0; k < batch<double, N, arch::avx512>::kChunks; ++k)
     // VMINPD keeps src1 when src1<src2, else src2 (NaN/±0 ties -> src2),
-    // which is exactly the scalar reference a<b?a:b.
+    // which is exactly the contract's a<b?a:b.
     c.r[k] = _mm512_min_pd(a.r[k], b.r[k]);
   return c;
 }
@@ -415,10 +415,9 @@ inline batch<std::int64_t, N, arch::avx512> shl(const batch<std::int64_t, N, arc
 
 template <int N>
 inline double reduce_add(const batch<double, N, arch::avx512>& a) {
-  // Pairwise, matching the scalar reference's reduction shape: chunk
-  // tree first, then 256-bit halves, then the avx2-identical 128-bit
-  // tail, so an 8-lane avx512 sum is bit-identical to the 8-lane
-  // scalar/avx2 sums.
+  // The contract's pairwise tree: chunk tree first, then 256-bit
+  // halves, then the avx2-identical 128-bit tail, so an 8-lane avx512
+  // sum is bit-identical to the 8-lane avx2 sum.
   __m512d acc[batch<double, N, arch::avx512>::kChunks];
   for (int k = 0; k < batch<double, N, arch::avx512>::kChunks; ++k) acc[k] = a.r[k];
   int n = batch<double, N, arch::avx512>::kChunks;

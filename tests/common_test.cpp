@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -136,6 +138,26 @@ TEST(Stats, NanMaxFoldStaysNaN) {
     v.insert(v.begin() + static_cast<std::ptrdiff_t>(pos), nan);
     EXPECT_TRUE(std::isnan(fold(v))) << "NaN at position " << pos;
   }
+}
+
+// The Courant fold: a NaN in either argument sticks, where std::min
+// drops one in its second argument; every other pair gives std::min's
+// bits, signed zeros included (so graph and barrier folds stay equal).
+TEST(Stats, NanMinMatchesStdMinAndKeepsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {0.0, -0.0, 1.0, -2.5, 1e-300, -inf, inf, 3.0};
+  for (const double a : values) {
+    EXPECT_TRUE(std::isnan(nan_min(a, nan))) << a;
+    EXPECT_TRUE(std::isnan(nan_min(nan, a))) << a;
+    for (const double b : values) {
+      const double got = nan_min(a, b);
+      const double want = std::min(a, b);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << a << " " << b;
+    }
+  }
+  EXPECT_TRUE(std::signbit(nan_min(-0.0, 0.0)));
+  EXPECT_FALSE(std::signbit(nan_min(0.0, -0.0)));
 }
 
 TEST(ThreadPool, StaticChunksCoverRange) {

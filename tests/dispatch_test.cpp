@@ -1,7 +1,6 @@
-// Kernel-registry dispatch layer (src/dispatch): override parsing, glob
-// precedence, per-kernel resolution with clamping, and the heterogeneous
-// per-kernel override path that lets two kernels run different backends
-// in one process.
+// Kernel-registry dispatch layer (src/dispatch): resolution with
+// clamping down to the best registered variant, introspection, the
+// manifest and series observation.
 //
 // The tests register their own throwaway kernels (names under "test.*")
 // so they exercise the registry machinery without depending on which
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ookami/dispatch/override.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/simd/backend.hpp"
 
@@ -20,116 +18,6 @@ namespace ookami::dispatch {
 namespace {
 
 using simd::Backend;
-
-// --- override.hpp: glob matching ----------------------------------------
-
-TEST(GlobMatch, Basics) {
-  EXPECT_TRUE(glob_match("vecmath.exp", "vecmath.exp"));
-  EXPECT_FALSE(glob_match("vecmath.exp", "vecmath.exp2"));
-  EXPECT_TRUE(glob_match("vecmath.*", "vecmath.exp"));
-  EXPECT_TRUE(glob_match("vecmath.*", "vecmath."));
-  EXPECT_FALSE(glob_match("vecmath.*", "npb.cg.spmv"));
-  EXPECT_TRUE(glob_match("*", "anything.at.all"));
-  EXPECT_TRUE(glob_match("*", ""));
-  EXPECT_TRUE(glob_match("*.spmv", "npb.cg.spmv"));
-  EXPECT_TRUE(glob_match("npb.*.spmv", "npb.cg.spmv"));
-  EXPECT_FALSE(glob_match("npb.*.spmv", "npb.cg.transpose"));
-  EXPECT_TRUE(glob_match("a*b*c", "a-x-b-y-c"));
-  EXPECT_FALSE(glob_match("a*b*c", "a-x-c"));
-  EXPECT_FALSE(glob_match("", "x"));
-  EXPECT_TRUE(glob_match("", ""));
-}
-
-// --- override.hpp: parsing ----------------------------------------------
-
-TEST(ParseOverrides, WellFormedSpec) {
-  std::vector<std::string> errors;
-  const OverrideSet set = parse_overrides("hpcc.dgemm=avx2, vecmath.*=scalar", &errors);
-  EXPECT_TRUE(errors.empty());
-  ASSERT_EQ(set.rules.size(), 2u);
-  EXPECT_EQ(set.rules[0].pattern, "hpcc.dgemm");
-  EXPECT_EQ(set.rules[0].backend, Backend::kAvx2);
-  EXPECT_FALSE(set.rules[0].is_glob);
-  EXPECT_EQ(set.rules[1].pattern, "vecmath.*");
-  EXPECT_EQ(set.rules[1].backend, Backend::kScalar);
-  EXPECT_TRUE(set.rules[1].is_glob);
-  EXPECT_EQ(set.rules[1].specificity, 8);  // "vecmath." literal characters
-}
-
-TEST(ParseOverrides, MalformedEntriesAreSkippedNotFatal) {
-  std::vector<std::string> errors;
-  // Five malformed entries (missing '=', empty pattern, empty backend,
-  // two unknown backends, one of them a removed tier) around one valid
-  // rule.
-  const OverrideSet set = parse_overrides(
-      "foo, =avx2, hpcc.dgemm=, loops.fig1=neon, x=sse2, vecmath.exp=avx2", &errors);
-  ASSERT_EQ(set.rules.size(), 1u);
-  EXPECT_EQ(set.rules[0].pattern, "vecmath.exp");
-  EXPECT_EQ(set.rules[0].backend, Backend::kAvx2);
-  ASSERT_EQ(errors.size(), 5u);
-  EXPECT_NE(errors[0].find("missing '='"), std::string::npos);
-  EXPECT_NE(errors[1].find("empty kernel pattern"), std::string::npos);
-  EXPECT_NE(errors[2].find("empty backend name"), std::string::npos);
-  EXPECT_NE(errors[3].find("unknown backend"), std::string::npos);
-  EXPECT_NE(errors[4].find("unknown backend"), std::string::npos);
-}
-
-TEST(ParseOverrides, EmptyAndWhitespaceSpecs) {
-  std::vector<std::string> errors;
-  EXPECT_TRUE(parse_overrides("", &errors).empty());
-  EXPECT_TRUE(parse_overrides(" , ,, ", &errors).empty());
-  EXPECT_TRUE(errors.empty());
-  // Whitespace around tokens is trimmed.
-  const OverrideSet set = parse_overrides("  vecmath.exp = avx512  ", &errors);
-  ASSERT_EQ(set.rules.size(), 1u);
-  EXPECT_EQ(set.rules[0].pattern, "vecmath.exp");
-  EXPECT_EQ(set.rules[0].backend, Backend::kAvx512);
-}
-
-// --- override.hpp: lookup precedence ------------------------------------
-
-TEST(OverrideLookup, ExactBeatsGlobRegardlessOfOrder) {
-  Backend out = Backend::kAvx2;
-  // Exact first, glob second.
-  OverrideSet set = parse_overrides("vecmath.exp=avx2, vecmath.*=scalar");
-  ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx2);
-  ASSERT_TRUE(set.lookup("vecmath.log", out));
-  EXPECT_EQ(out, Backend::kScalar);
-  // Glob first, exact second.
-  set = parse_overrides("vecmath.*=scalar, vecmath.exp=avx2");
-  ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx2);
-}
-
-TEST(OverrideLookup, MoreSpecificGlobWins) {
-  Backend out = Backend::kScalar;
-  const OverrideSet set = parse_overrides("*=scalar, vecmath.*=avx2, vecmath.exp*=avx512");
-  ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx512);  // "vecmath.exp*": most literal characters
-  ASSERT_TRUE(set.lookup("vecmath.log", out));
-  EXPECT_EQ(out, Backend::kAvx2);
-  ASSERT_TRUE(set.lookup("npb.cg.spmv", out));
-  EXPECT_EQ(out, Backend::kScalar);
-}
-
-TEST(OverrideLookup, LaterRuleWinsTies) {
-  Backend out = Backend::kScalar;
-  OverrideSet set = parse_overrides("vecmath.exp=avx2, vecmath.exp=avx512");
-  ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx512);  // appending refines an existing spec
-  set = parse_overrides("vecmath.exp=avx512, vecmath.exp=avx2");
-  ASSERT_TRUE(set.lookup("vecmath.exp", out));
-  EXPECT_EQ(out, Backend::kAvx2);
-}
-
-TEST(OverrideLookup, NoMatch) {
-  Backend out = Backend::kAvx2;
-  const OverrideSet set = parse_overrides("vecmath.*=scalar");
-  EXPECT_FALSE(set.lookup("npb.cg.spmv", out));
-  EXPECT_EQ(out, Backend::kAvx2);  // untouched
-  EXPECT_FALSE(OverrideSet{}.lookup("anything", out));
-}
 
 // --- registry.hpp: resolution with throwaway kernels ---------------------
 
@@ -178,9 +66,7 @@ class RegistryTest : public ::testing::Test {
     alpha_table();
     beta_table();
     gamma_table();
-    set_overrides_for_testing({});  // no per-kernel rules unless a test sets them
   }
-  void TearDown() override { set_overrides_for_testing({}); }
 };
 
 TEST_F(RegistryTest, ScalarResolutionReturnsNull) {
@@ -212,70 +98,6 @@ TEST_F(RegistryTest, WalksDownToBestRegisteredVariant) {
   EXPECT_EQ(used, Backend::kAvx2);
 }
 
-TEST_F(RegistryTest, PerKernelOverrideSelectsBackend) {
-  if (!avx2_ready() || !avx512_ready()) GTEST_SKIP() << "need both native backends";
-  set_overrides_for_testing(parse_overrides("test.alpha=avx2"));
-  Backend used = Backend::kScalar;
-  TagFn* fn = alpha_table().resolve(used);
-  ASSERT_NE(fn, nullptr);
-  EXPECT_EQ(fn(), 102);  // avx2 although avx512 is available
-  EXPECT_EQ(used, Backend::kAvx2);
-  EXPECT_EQ(resolved_backend("test.alpha"), Backend::kAvx2);
-}
-
-TEST_F(RegistryTest, HeterogeneousDispatchInOneProcess) {
-  if (!avx2_ready() || !avx512_ready()) GTEST_SKIP() << "need both native backends";
-  // One process, three kernels, three different backends.
-  set_overrides_for_testing(parse_overrides("test.*=avx512, test.beta=avx2, test.gamma=scalar"));
-  Backend used_a = Backend::kScalar, used_b = Backend::kScalar;
-  TagFn* a = alpha_table().resolve(used_a);
-  TagFn* b = beta_table().resolve(used_b);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a(), 103);  // avx512 via the glob
-  EXPECT_EQ(b(), 202);  // avx2 via the exact rule
-  EXPECT_EQ(used_a, Backend::kAvx512);
-  EXPECT_EQ(used_b, Backend::kAvx2);
-  EXPECT_EQ(gamma_table().resolve(), nullptr);  // forced scalar
-}
-
-TEST_F(RegistryTest, OverrideForScalarBeatsGlobalBackend) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  set_overrides_for_testing(parse_overrides("test.alpha=scalar"));
-  // No ScopedBackend: the global backend is native, the rule says scalar.
-  EXPECT_EQ(alpha_table().resolve(), nullptr);
-  EXPECT_EQ(resolved_backend("test.alpha"), Backend::kScalar);
-}
-
-TEST_F(RegistryTest, ScopedBackendOutranksPerKernelRule) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  set_overrides_for_testing(parse_overrides("test.alpha=avx2"));
-  simd::ScopedBackend force(Backend::kScalar);
-  EXPECT_EQ(alpha_table().resolve(), nullptr);  // the test override wins
-}
-
-TEST_F(RegistryTest, OverrideClampsToSupportedVariant) {
-  if (!avx2_ready()) GTEST_SKIP() << "avx2 backend not compiled/supported";
-  // Request avx512 for a kernel that only registered avx2: walk down, do
-  // not fail — the clamping philosophy of the SIMD layer, per kernel.
-  set_overrides_for_testing(parse_overrides("test.beta=avx512"));
-  Backend used = Backend::kScalar;
-  TagFn* fn = beta_table().resolve(used);
-  ASSERT_NE(fn, nullptr);
-  EXPECT_EQ(fn(), 202);
-  EXPECT_EQ(used, Backend::kAvx2);
-}
-
-TEST_F(RegistryTest, UnknownKernelRuleIsHarmless) {
-  set_overrides_for_testing(parse_overrides("no.such.kernel=avx2"));
-  EXPECT_EQ(resolved_backend("no.such.kernel"), Backend::kScalar);
-  // Other kernels are unaffected.
-  if (avx2_ready()) {
-    simd::ScopedBackend force(Backend::kAvx2);
-    EXPECT_NE(alpha_table().resolve(), nullptr);
-  }
-}
-
 // --- registry.hpp: introspection ----------------------------------------
 
 TEST_F(RegistryTest, IntrospectionListsTestKernels) {
@@ -305,6 +127,8 @@ TEST_F(RegistryTest, IntrospectionListsTestKernels) {
   EXPECT_DOUBLE_EQ(tol, 0.5);
   EXPECT_DOUBLE_EQ(fn(Backend::kAvx2), 0.25);
   EXPECT_EQ(check("test.gamma"), nullptr);
+  // An unknown kernel has only the reference path.
+  EXPECT_EQ(resolved_backend("no.such.kernel"), Backend::kScalar);
 }
 
 TEST_F(RegistryTest, ManifestFormat) {
@@ -329,10 +153,8 @@ TEST_F(RegistryTest, ObservationRecordsResolvedKernels) {
   ASSERT_EQ(observed.size(), 2u);  // sorted by kernel name
   EXPECT_EQ(observed[0].kernel, "test.alpha");
   EXPECT_EQ(observed[0].backend, Backend::kAvx2);
-  EXPECT_EQ(observed[0].provenance, Provenance::kScoped);
   EXPECT_EQ(observed[1].kernel, "test.gamma");
   EXPECT_EQ(observed[1].backend, Backend::kScalar);
-  EXPECT_EQ(observed[1].provenance, Provenance::kScoped);
   // The observation window is closed: nothing accumulates afterwards.
   (void)alpha_table().resolve();
   begin_observation();

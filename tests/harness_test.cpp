@@ -490,10 +490,6 @@ TEST(Run, TimedSeriesArchivesObservedKernelBackends) {
   EXPECT_EQ(s.at("backend").as_string(), "scalar");
   const json::Value& kb = s.at("kernel_backends");
   EXPECT_EQ(kb.at("test.harness.obs").as_string(), "scalar");
-  // The ScopedBackend above is why the kernel resolved scalar; BENCH
-  // consumers can read that straight from kernel_provenance.
-  const json::Value& kp = s.at("kernel_provenance");
-  EXPECT_EQ(kp.at("test.harness.obs").as_string(), "scoped");
 }
 
 TEST(Environment, CapturesRelevantRuntimeEnv) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ookami/common/threadpool.hpp"
-#include "ookami/dispatch/override.hpp"
 #include "ookami/dispatch/registry.hpp"
 #include "ookami/hpcc/hpcc.hpp"
 #include "ookami/loops/kernels.hpp"
@@ -85,11 +84,9 @@ TEST(RegistryManifest, EveryKernelRegistersCompiledVariants) {
 
 TEST(RegistryManifest, CallSitesResolveByTheStaticRule) {
   // One small call through every module entry point.  With no scoped
-  // backend and no per-kernel rule, each call site must resolve by the
-  // ceiling: the widest registered variant the CPU supports, capped at
-  // the active (OOKAMI_SIMD_BACKEND / CPUID) backend, else scalar.
-  // The empty rule set keeps a stray OOKAMI_KERNEL_BACKEND out of it.
-  dispatch::set_overrides_for_testing({});
+  // backend, each call site must resolve by the static rule: the widest
+  // registered variant the CPU supports, capped at the active
+  // (OOKAMI_SIMD_BACKEND / CPUID) backend, else scalar.
   std::vector<double> x(257), e(257), y(257);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = 0.5 + 0.01 * static_cast<double>(i);
@@ -136,8 +133,6 @@ TEST(RegistryManifest, CallSitesResolveByTheStaticRule) {
     const auto it = std::find_if(observed.begin(), observed.end(),
                                  [&](const dispatch::Observation& o) { return o.kernel == k.name; });
     ASSERT_NE(it, observed.end()) << k.name << " was not resolved by its call site";
-    EXPECT_EQ(it->provenance, dispatch::Provenance::kCeiling)
-        << k.name << " resolved by " << dispatch::provenance_name(it->provenance);
     EXPECT_EQ(it->backend, want) << k.name << " ran " << simd::backend_name(it->backend)
                                  << ", the rule gives " << simd::backend_name(want);
     ++checked;

@@ -1,14 +1,17 @@
 #pragma once
-// Arch-templated check bodies shared between simd_test.cpp (scalar
-// instantiations, under baseline flags) and simd_test_avx2.cpp /
-// simd_test_avx512.cpp (native instantiations, which need a TU compiled
-// with the ISA flags because those batch specializations are
-// preprocessor-gated on __AVX2__ / __AVX512F__).  The gtest
-// EXPECT/ASSERT macros work from any TU linked into the test binary.
+// Arch-templated check bodies, instantiated in simd_test_avx2.cpp and
+// simd_test_avx512.cpp (the batch specializations, and with them the
+// sve_api veneer, are preprocessor-gated on __AVX2__ / __AVX512F__) and
+// called from simd_test.cpp after a runtime CPU check.  Every op is
+// checked against one reference: the ookami::sve instruction model
+// where the interpreter has the op, else the per-lane libm expression
+// the op contract in batch.hpp names.  The gtest EXPECT/ASSERT macros
+// work from any TU linked into the test binary.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -55,41 +58,51 @@ inline std::vector<double> special_inputs() {
 template <class A>
 void expect_batch_matches_scalar() {
   using V = batch<double, 8, A>;
-  using VS = batch<double, 8, arch::scalar>;
   using M = mask<8, A>;
+  const sve::Pred all = sve::ptrue();
   const auto xs = special_inputs();
   for (std::size_t base = 0; base + 16 <= xs.size(); base += 8) {
     const double* px = xs.data() + base;
     const double* py = xs.data() + base + 8;
     const V a = V::load(px), b = V::load(py);
-    const VS as = VS::load(px), bs = VS::load(py);
-    auto same = [&](const V& got, const VS& want, const char* what) {
+    const sve::Vec as = sve::ld1(all, px), bs = sve::ld1(all, py);
+    auto same = [&](const V& got, const sve::Vec& want, const char* what) {
       const auto g = got.to_array();
-      const auto w = want.to_array();
       for (int l = 0; l < 8; ++l) {
-        EXPECT_EQ(bits_of(g[static_cast<std::size_t>(l)]), bits_of(w[static_cast<std::size_t>(l)]))
+        EXPECT_EQ(bits_of(g[static_cast<std::size_t>(l)]), bits_of(want[l]))
             << what << " lane " << l << " base " << base;
       }
+    };
+    // The per-lane expression for ops the interpreter lacks.
+    auto lanewise = [&](auto op) {
+      sve::Vec r;
+      for (int l = 0; l < 8; ++l) r[l] = op(as[l], bs[l]);
+      return r;
     };
     same(a + b, as + bs, "add");
     same(a - b, as - bs, "sub");
     same(a * b, as * bs, "mul");
     same(a / b, as / bs, "div");
     same(-a, -as, "neg");
-    same(fma(a, b, a), fma(as, bs, as), "fma");
-    same(abs(a), abs(as), "abs");
-    same(min(a, b), min(as, bs), "min");
-    same(max(a, b), max(as, bs), "max");
-    same(sqrt(abs(a)), sqrt(abs(as)), "sqrt");
-    same(copysign(a, b), copysign(as, bs), "copysign");
-    same(frintn(a), frintn(as), "frintn");
+    same(fma(a, b, a), sve::fma(as, bs, as), "fma");
+    same(frintn(a), sve::frintn(as), "frintn");
     const M pg = M::ptrue();
-    const auto pgs = mask<8, arch::scalar>::ptrue();
-    same(sel(cmpgt(pg, a, b), a, b), sel(cmpgt(pgs, as, bs), as, bs), "sel/cmpgt");
-    same(sel(cmpuo(pg, a), a, b), sel(cmpuo(pgs, as), as, bs), "sel/cmpuo");
-    // Reductions share the pairwise tree shape across backends.
-    EXPECT_EQ(bits_of(reduce_add(a)), bits_of(reduce_add(as))) << "reduce_add base " << base;
-    EXPECT_EQ(bits_of(reduce_add_ordered(pg, a)), bits_of(reduce_add_ordered(pgs, as)))
+    same(sel(cmpgt(pg, a, b), a, b), sve::sel(sve::cmpgt(all, as, bs), as, bs), "sel/cmpgt");
+    same(sel(cmpuo(pg, a), a, b), sve::sel(sve::cmpuo(all, as), as, bs), "sel/cmpuo");
+    same(abs(a), lanewise([](double x, double) { return std::fabs(x); }), "abs");
+    same(min(a, b), lanewise([](double x, double y) { return x < y ? x : y; }), "min");
+    same(max(a, b), lanewise([](double x, double y) { return x > y ? x : y; }), "max");
+    same(sqrt(abs(a)), lanewise([](double x, double) { return std::sqrt(std::fabs(x)); }), "sqrt");
+    same(copysign(a, b), lanewise([](double x, double y) { return std::copysign(x, y); }),
+         "copysign");
+    // reduce_add is the contract's pairwise tree; reduce_add_ordered is
+    // sve::reduce_add.
+    std::array<double, 8> tree = as.v;
+    for (std::size_t n = 8; n > 1; n /= 2) {
+      for (std::size_t i = 0; i < n / 2; ++i) tree[i] += tree[i + n / 2];
+    }
+    EXPECT_EQ(bits_of(reduce_add(a)), bits_of(tree[0])) << "reduce_add base " << base;
+    EXPECT_EQ(bits_of(reduce_add_ordered(pg, a)), bits_of(sve::reduce_add(all, as)))
         << "reduce_add_ordered base " << base;
   }
 }
@@ -221,23 +234,5 @@ void expect_estimates_bit_identical() {
     }
   }
 }
-
-// Defined in simd_test_avx2.cpp (compiled with -mavx2/-mfma) when the
-// toolchain can build AVX2 kernels; simd_test.cpp calls them after a
-// runtime CPU-support check.
-void avx2_batch_matches_scalar();
-void avx2_whilelt_and_tail();
-void avx2_gather_scatter_edges();
-void avx2_fexpa_bit_identical();
-void avx2_estimates_bit_identical();
-
-// Defined in simd_test_avx512.cpp (compiled with -mavx512f/-mavx512dq)
-// when the toolchain can build AVX-512 kernels; simd_test.cpp calls
-// them after a runtime CPU-support check.
-void avx512_batch_matches_scalar();
-void avx512_whilelt_and_tail();
-void avx512_gather_scatter_edges();
-void avx512_fexpa_bit_identical();
-void avx512_estimates_bit_identical();
 
 }  // namespace ookami::simd::testing

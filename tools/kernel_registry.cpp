@@ -3,8 +3,8 @@
 //
 //   kernel_registry             # manifest: name<TAB>scalar[,avx2[,avx512]]
 //   kernel_registry --resolved  # name<TAB>backend the kernel resolves to
-//                               # right now (honours OOKAMI_SIMD_BACKEND,
-//                               # OOKAMI_KERNEL_BACKEND and CPUID clamping)
+//                               # right now (its widest variant the CPU
+//                               # supports, capped by OOKAMI_SIMD_BACKEND)
 //   kernel_registry --checks    # name<TAB>tolerance of the registered
 //                               # equivalence check ("-" when missing)
 //
