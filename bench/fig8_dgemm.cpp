@@ -47,7 +47,7 @@ OOKAMI_BENCH(fig8_dgemm) {
   for (const auto& pt : hpcc::fig8_dgemm_points()) {
     const double gf = hpcc::point_gflops_per_core(pt);
     chart.add(pt.system + "/" + pt.library, gf,
-              "(" + TextTable::num(100.0 * pt.fraction_of_peak, 0) + "%)");
+              std::string("(").append(TextTable::num(100.0 * pt.fraction_of_peak, 0)).append("%)"));
     run.record(pt.system + "/" + pt.library, gf, "GF/s", harness::Direction::kHigherIsBetter);
     if (pt.system == "Ookami" && pt.library == "fujitsu-blas") fj = gf;
     if (pt.system == "Ookami" && pt.library == "openblas") ob = gf;

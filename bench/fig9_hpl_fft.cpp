@@ -41,7 +41,9 @@ OOKAMI_BENCH(fig9_hpl_fft) {
   for (const auto& pt : hpcc::fig9a_hpl_points()) {
     const double gf = hpcc::system_model(pt.system).peak_gflops_node() * pt.fraction_of_peak;
     hpl_chart.add(pt.system + "/" + pt.library, gf,
-                  "(" + TextTable::num(100.0 * pt.fraction_of_peak, 0) + "%)");
+                  std::string("(")
+                      .append(TextTable::num(100.0 * pt.fraction_of_peak, 0))
+                      .append("%)"));
     run.record("hpl/" + pt.system + "/" + pt.library, gf, "GF/s",
                harness::Direction::kHigherIsBetter);
     if (pt.system == "Ookami" && pt.library == "fujitsu-blas") {
@@ -72,7 +74,9 @@ OOKAMI_BENCH(fig9_hpl_fft) {
   for (const auto& pt : hpcc::fig9c_fft_points()) {
     const double gf = hpcc::system_model(pt.system).peak_gflops_node() * pt.fraction_of_peak;
     fft_chart.add(pt.system + "/" + pt.library, gf,
-                  "(" + TextTable::num(100.0 * pt.fraction_of_peak, 1) + "%)");
+                  std::string("(")
+                      .append(TextTable::num(100.0 * pt.fraction_of_peak, 1))
+                      .append("%)"));
     run.record("fft/" + pt.system + "/" + pt.library, gf, "GF/s",
                harness::Direction::kHigherIsBetter);
     if (pt.system == "Ookami" && pt.library == "fujitsu-fftw") {

@@ -121,7 +121,8 @@ OOKAMI_BENCH(taskgraph_bench) {
   const std::vector<unsigned> threads = swept_threads();
   std::string threads_note;
   for (unsigned t : threads) {
-    threads_note += (threads_note.empty() ? "" : ",") + std::to_string(t);
+    if (!threads_note.empty()) threads_note += ',';
+    threads_note += std::to_string(t);
   }
   run.note("threads", threads_note);
   run.note("lulesh", "edge=" + std::to_string(kLuleshEdge) +

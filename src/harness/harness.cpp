@@ -196,13 +196,13 @@ void Run::record(const std::string& series, double value, const std::string& uni
   Summary s;
   s.add(value);
   series_.push_back({series, unit, "recorded", direction, std::move(s),
-                     simd::backend_name(simd::active_backend())});
+                     simd::backend_name(simd::active_backend()), {}});
 }
 
 void Run::record_summary(const std::string& series, const Summary& stats,
                          const std::string& unit, const char* kind, Direction direction) {
   series_.push_back({series, unit, kind, direction, stats,
-                     simd::backend_name(simd::active_backend())});
+                     simd::backend_name(simd::active_backend()), {}});
 }
 
 void Run::record_grouped(const GroupedSeries& g, const std::string& unit, Direction direction) {

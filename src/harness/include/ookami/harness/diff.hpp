@@ -17,8 +17,7 @@ struct DiffOptions {
   std::string metric = "median";  ///< "median", "mean", "min" or "max"
   /// Treat series absent from `after` (removed) as regressions.  Series
   /// present only in `after` (added) are always informational — a new
-  /// benchmark is not a regression.  The CLI exposes this as --strict
-  /// (with --fail-on-missing kept as an alias).
+  /// benchmark is not a regression.  The CLI exposes this as --strict.
   bool fail_on_missing = false;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "ookami/perf/machine.hpp"
@@ -182,8 +181,6 @@ std::vector<trace::Event> events_from_chrome(const json::Value& doc,
     double ts_us, dur_us, tid;
     double depth;  // < 0: reconstruct from containment
     double bytes, flops;
-    bool injected;
-    std::uint64_t req;
     std::uint32_t graph, task, dep;
   };
   std::vector<Raw> raws;
@@ -199,8 +196,6 @@ std::vector<trace::Event> events_from_chrome(const json::Value& doc,
     r.depth = -1.0;
     r.bytes = 0.0;
     r.flops = 0.0;
-    r.injected = false;
-    r.req = 0;
     r.graph = 0;
     r.task = 0;
     r.dep = trace::kNoParent;
@@ -208,20 +203,12 @@ std::vector<trace::Event> events_from_chrome(const json::Value& doc,
       r.depth = args->number_or("depth", -1.0);
       r.bytes = args->number_or("bytes", 0.0);
       r.flops = args->number_or("flops", 0.0);
-      r.injected = args->number_or("span", 0.0) != 0.0;
-      // The request id is written as a 16-hex string: a 64-bit id does
-      // not survive a JSON double round-trip.
-      if (const std::string req = args->string_or("req", ""); !req.empty()) {
-        r.req = std::strtoull(req.c_str(), nullptr, 16);
-      }
       // Task-graph tags are plain numbers (32-bit values survive a JSON
-      // double); a graph span is always treated as injected so it can
-      // never act as an enclosing scope in the nesting reconstruction.
+      // double).
       r.graph = static_cast<std::uint32_t>(args->number_or("graph", 0.0));
       r.task = static_cast<std::uint32_t>(args->number_or("task", 0.0));
       const double dep = args->number_or("dep", -1.0);
       if (dep >= 0.0) r.dep = static_cast<std::uint32_t>(dep);
-      if (r.graph != 0) r.injected = true;
     }
     raws.push_back(r);
   }
@@ -253,15 +240,13 @@ std::vector<trace::Event> events_from_chrome(const json::Value& doc,
                               : static_cast<std::int32_t>(open_ends.size());
     ev.bytes = r.bytes;
     ev.flops = r.flops;
-    ev.injected = r.injected;
-    ev.req = r.req;
     ev.graph = r.graph;
     ev.task = r.task;
     ev.dep = r.dep;
     events.push_back(ev);
-    // Injected spans are not scopes: they must not act as enclosing
+    // Graph spans are not scopes: they must not act as enclosing
     // intervals when reconstructing RAII nesting by containment.
-    if (!r.injected) open_ends.push_back(end_us);
+    if (r.graph == 0) open_ends.push_back(end_us);
   }
   return events;
 }

@@ -1,12 +1,13 @@
 #pragma once
 // Analytic cost model for task-graph vs bulk-synchronous execution of a
-// phased workload (the taskgraph_bench companion to sync_model.hpp).
+// phased workload (the taskgraph_bench model).
 //
 // A bulk-synchronous run pays one fork/join per phase per step on top
-// of the parallelized work.  A dependency-graph run pays ONE fork/join
-// for the whole thing, and its wall time is bounded below by Brent's
-// theorem: max(T1/p, T-inf), where T1 is the total serial work and
-// T-inf the critical path — here, one chunk's worth of every phase in
+// of the parallelized work, priced by spin_fork_join_s (the shape of
+// the ThreadPool's countdown join).  A dependency-graph run pays ONE
+// fork/join for the whole thing, and its wall time is bounded below by
+// Brent's theorem: max(T1/p, T-inf), where T1 is the total serial work
+// and T-inf the critical path — here, one chunk's worth of every phase in
 // sequence, since a chunk of phase N+1 starts as soon as its producers
 // in phase N finish.  On top of the bound the graph pays a per-task
 // dispatch cost (ready-queue pop, in-degree countdown, wakeup),
@@ -39,12 +40,15 @@ struct GraphTimes {
 };
 
 /// Model a step loop of `steps` iterations over `phases`, run with
-/// `threads` workers.  `barrier` names the fork/join protocol priced for
-/// the bulk-synchronous path ("condvar", "spin", "hierarchical" or
-/// "hardware" — same names as sync_model); the default is "spin", the
-/// protocol the ThreadPool runs.
+/// `threads` workers.
 GraphTimes model_phase_graph(const MachineModel& m, const std::vector<PhaseSpec>& phases,
-                             int steps, int threads, const char* barrier = "spin");
+                             int steps, int threads);
+
+/// Modeled wall time (seconds) of one empty fork/join over `threads`
+/// threads: every arrival is an RMW on one contended line (serialized
+/// cache-to-cache transfers, O(threads)), then a log-depth release
+/// broadcast, priced by the machine's clock.
+double spin_fork_join_s(const MachineModel& m, int threads);
 
 /// Modeled per-task dispatch cost (seconds) of the TaskGraph executor
 /// on `m`: ready-queue mutex hold + in-degree countdown + share of the

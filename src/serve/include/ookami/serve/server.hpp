@@ -17,10 +17,10 @@
 //     parallel_for on the pool — the coalescing mechanism that keeps
 //     p99 bounded under saturation (one fork/join amortized over the
 //     batch, batch members spread across workers).
-//   * Every request is instrumented: trace spans "serve/queue"
-//     (admission -> dequeue, recorded via trace::record_span) and
-//     "serve/kernel" (batch execution), so a trace shows time-in-queue
-//     vs time-in-kernel; the metrics registry keeps request/rejection
+//   * Every request is instrumented in the flight ring, once per span:
+//     "serve/queue" (admission -> dequeue) and "serve/kernel" (batch
+//     execution), so GET /trace/<id> shows time-in-queue vs
+//     time-in-kernel; the metrics registry keeps request/rejection
 //     counters, a queue-depth gauge and per-kernel latency histograms
 //     exposed live on GET /metrics.
 //

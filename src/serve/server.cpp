@@ -578,7 +578,6 @@ void Server::process_batch(const std::vector<std::shared_ptr<Pending>>& batch) {
   metrics::Histogram& queue_wait = registry_.histogram(kQueueWaitHist);
   for (const auto& p : batch) {
     p->queue_s = static_cast<double>(deq_ns - p->enq_ns) * 1e-9;
-    trace::record_span("serve/queue", p->enq_ns, deq_ns, 0.0, 0.0, p->trace_id);
     flight.record(trace::FlightKind::kSpan, "serve/queue", p->trace_id, p->enq_ns, deq_ns);
     queue_wait.observe(p->queue_s, p->trace_id);
   }
@@ -603,7 +602,6 @@ void Server::process_batch(const std::vector<std::shared_ptr<Pending>>& batch) {
   std::string fail_reason;
   const std::uint64_t run_begin = trace::now_ns();
   try {
-    OOKAMI_TRACE_SCOPE("serve/kernel");
     servable->run(items, pool_);
   } catch (const std::exception& e) {
     failed = true;
@@ -628,7 +626,6 @@ void Server::process_batch(const std::vector<std::shared_ptr<Pending>>& batch) {
     p.failed = failed;
     p.fail_reason = fail_reason;
     const double total_s = p.queue_s + p.run_s;
-    trace::record_span("serve/kernel", run_begin, run_end, 0.0, 0.0, p.trace_id);
     flight.record(trace::FlightKind::kSpan, "serve/kernel", p.trace_id, run_begin, run_end,
                   static_cast<double>(batch.size()));
     flight.record(trace::FlightKind::kRequest, failed ? "serve/failed" : "serve/done",

@@ -27,7 +27,6 @@ struct Accum {
 struct SpanAccum {
   SpanStats stats;
   std::set<std::uint32_t> tids;
-  std::set<std::uint64_t> reqs;
 };
 
 struct GraphAccum {
@@ -94,12 +93,10 @@ Report aggregate(const std::vector<Event>& events, const Roofline& roofline,
     t0 = std::min(t0, e.start_ns);
     t1 = std::max(t1, e.end_ns);
     if (e.graph != 0) {
-      GraphAccum& acc = graph_by_id[e.graph];
-      acc.tasks.push_back(&e);
-      acc.tids.insert(e.tid);
-    }
-    if (e.injected || e.graph != 0) {
-      // Injected spans are not part of any thread's nesting: aggregate
+      GraphAccum& graph = graph_by_id[e.graph];
+      graph.tasks.push_back(&e);
+      graph.tids.insert(e.tid);
+      // Graph spans are not part of any thread's nesting: aggregate
       // them on the side, keep them out of the exclusive-time replay.
       SpanAccum& acc = span_by_name[e.name];
       SpanStats& s = acc.stats;
@@ -114,7 +111,6 @@ Report aggregate(const std::vector<Event>& events, const Roofline& roofline,
       s.min_s = std::min(s.min_s, dur);
       s.max_s = std::max(s.max_s, dur);
       acc.tids.insert(e.tid);
-      if (e.req != 0) acc.reqs.insert(e.req);
       continue;
     }
     order.push_back(&e);
@@ -129,7 +125,6 @@ Report aggregate(const std::vector<Event>& events, const Roofline& roofline,
   report.spans.reserve(span_by_name.size());
   for (auto& [name, acc] : span_by_name) {
     acc.stats.threads = static_cast<unsigned>(acc.tids.size());
-    acc.stats.requests = static_cast<std::uint64_t>(acc.reqs.size());
     report.spans.push_back(std::move(acc.stats));
   }
   std::sort(report.spans.begin(), report.spans.end(),
@@ -268,21 +263,18 @@ std::string render(const Report& report, std::size_t top_n) {
     std::size_t span_w = 4;
     for (const SpanStats& s : report.spans) span_w = std::max(span_w, s.name.size());
     out += '\n';
-    std::snprintf(line, sizeof line,
-                  "injected spans (record_span, grouped across threads):\n");
-    out += line;
-    std::snprintf(line, sizeof line, "%-*s %8s %12s %12s %12s %9s %8s\n",
+    out += "injected spans (record_graph_span, grouped across threads):\n";
+    std::snprintf(line, sizeof line, "%-*s %8s %12s %12s %12s %8s\n",
                   static_cast<int>(span_w), "span", "count", "total(s)", "min(s)", "max(s)",
-                  "requests", "thr");
+                  "thr");
     out += line;
-    out.append(span_w + 68, '-');
+    out.append(span_w + 58, '-');
     out += '\n';
     for (const SpanStats& s : report.spans) {
-      std::snprintf(line, sizeof line, "%-*s %8llu %12s %12s %12s %9llu %8u\n",
+      std::snprintf(line, sizeof line, "%-*s %8llu %12s %12s %12s %8u\n",
                     static_cast<int>(span_w), s.name.c_str(),
                     static_cast<unsigned long long>(s.count), fmt("%.6f", s.total_s).c_str(),
-                    fmt("%.6f", s.min_s).c_str(), fmt("%.6f", s.max_s).c_str(),
-                    static_cast<unsigned long long>(s.requests), s.threads);
+                    fmt("%.6f", s.min_s).c_str(), fmt("%.6f", s.max_s).c_str(), s.threads);
       out += line;
     }
   }

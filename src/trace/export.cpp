@@ -63,18 +63,6 @@ std::string to_chrome_json(const std::vector<Event>& events) {
       out += ",\"flops\":";
       append_number(out, e.flops);
     }
-    if (e.injected) {
-      // Injected spans (record_span) carry the marker and, when tagged,
-      // the request/trace id — as a hex *string*, because a 64-bit id
-      // does not survive a round-trip through a JSON double.
-      out += ",\"span\":1";
-      if (e.req != 0) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, ",\"req\":\"%016llx\"",
-                      static_cast<unsigned long long>(e.req));
-        out += buf;
-      }
-    }
     if (e.graph != 0) {
       // Task-graph spans: run id, task index, and the critical parent
       // (omitted for sources).  32-bit values survive a JSON double.

@@ -9,7 +9,6 @@ const char* flight_kind_name(FlightKind kind) {
   switch (kind) {
     case FlightKind::kSpan: return "span";
     case FlightKind::kRequest: return "request";
-    case FlightKind::kCounter: return "counter";
     case FlightKind::kMark: return "mark";
   }
   return "?";

@@ -60,20 +60,19 @@ struct RegionStats {
   Bound bound = Bound::kUnknown;
 };
 
-/// Aggregated statistics of one injected-span name (record_span output:
-/// cross-thread intervals such as ookamid's "serve/queue").  Spans are
-/// not part of any thread's RAII nesting, so they carry no exclusive
-/// time — grouping them with the scope regions would corrupt the
-/// exclusive-time replay (a span's interval overlaps scopes that ran
-/// long before the recording call).  They get their own table.
+/// Aggregated statistics of one injected-span name (record_graph_span
+/// output: the tasks of a dependency-graph run).  Spans are not part of
+/// any thread's RAII nesting, so they carry no exclusive time —
+/// grouping them with the scope regions would corrupt the
+/// exclusive-time replay (a span's interval may overlap scopes it did
+/// not run inside).  They get their own table.
 struct SpanStats {
   std::string name;
   std::uint64_t count = 0;
   double total_s = 0.0;     ///< summed span durations
   double min_s = 0.0;       ///< shortest single span
   double max_s = 0.0;       ///< longest single span
-  std::uint64_t requests = 0;  ///< distinct nonzero request/trace ids seen
-  unsigned threads = 0;        ///< distinct recording threads
+  unsigned threads = 0;     ///< distinct recording threads
 };
 
 /// One hop of a reconstructed critical path (execution order).
@@ -115,8 +114,8 @@ struct Report {
 /// they are re-sorted into the canonical per-thread (end asc, depth
 /// desc) order the exclusive-time replay needs, so both live
 /// collect() output and events re-parsed from a Chrome trace work.
-/// Injected events (record_span) are aggregated into Report::spans and
-/// excluded from the region nesting replay.
+/// Graph spans (record_graph_span) are aggregated into Report::spans
+/// and Report::graphs and excluded from the region nesting replay.
 Report aggregate(const std::vector<Event>& events, const Roofline& roofline,
                  std::uint64_t dropped_events = 0);
 

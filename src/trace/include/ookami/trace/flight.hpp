@@ -1,6 +1,6 @@
 #pragma once
 // Flight recorder: an always-on, fixed-size, lock-free ring of recent
-// events (spans, request milestones, counter snapshots).
+// events (spans, request milestones, marks).
 //
 // The tracer (trace.hpp) answers "where did the cycles of THIS bench
 // run go" — it records everything and is collected at a quiescent
@@ -41,7 +41,6 @@ namespace ookami::trace {
 enum class FlightKind : std::uint32_t {
   kSpan = 0,     ///< a timed interval (queue wait, kernel run)
   kRequest = 1,  ///< a request milestone (admitted, done, rejected)
-  kCounter = 2,  ///< a sampled counter/gauge value at end_ns
   kMark = 3,     ///< a point annotation (dump trigger, config change)
 };
 

@@ -58,12 +58,10 @@ struct Event {
   std::int32_t depth = 0;      ///< nesting level on its thread (0 = outermost)
   double bytes = 0.0;          ///< annotated memory traffic, 0 = unannotated
   double flops = 0.0;          ///< annotated FP work, 0 = unannotated
-  std::uint64_t req = 0;       ///< request/trace id (record_span only), 0 = none
   std::uint32_t graph = 0;     ///< task-graph run id (record_graph_span only), 0 = none
   std::uint32_t task = 0;      ///< task index within its graph
   std::uint32_t dep = kNoParent;  ///< critical parent: the dependency whose
                                   ///< completion made this task ready
-  bool injected = false;       ///< recorded via record_span, not an RAII scope
 
   [[nodiscard]] double seconds() const {
     return static_cast<double>(end_ns - start_ns) * 1e-9;
@@ -123,29 +121,16 @@ struct ScopeHooks {
   void* ctx = nullptr;
 };
 
-/// Record an already-completed span with explicit timestamps (from
-/// now_ns()).  For intervals that cannot be an RAII Scope because they
-/// start on one thread and end on another — e.g. ookamid's
-/// "serve/queue" span opens when the connection thread admits a request
-/// and closes when the executor dequeues it.  The event lands in the
-/// *calling* thread's buffer at the thread's current nesting depth with
-/// `injected` set, so aggregation reports it as a span group instead of
-/// folding it into the RAII nesting replay; `req` (optional) tags the
-/// span with a request/trace id so every span of one served request can
-/// be grouped across threads.  `name` must be an interned literal like
-/// any scope name.  No-op while tracing is disabled; scope hooks do not
-/// fire (there is no enclosed execution to sample).
-void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
-                 double bytes = 0.0, double flops = 0.0, std::uint64_t req = 0);
-
-/// Record one executed task of a dependency-graph run (src/taskgraph).
-/// Like record_span the interval lands in the calling thread's buffer
-/// with `injected` set — a task is scheduled work, not part of the
-/// thread's RAII nesting — but it additionally carries the graph run id
-/// (nonzero), the task's index within the graph, and the index of its
-/// *critical parent*: the dependency whose completion made the task
-/// ready (kNoParent for sources).  aggregate() chains these back from
-/// the last-finishing task to reconstruct the run's critical path.
+/// Record one executed task of a dependency-graph run (src/taskgraph)
+/// with explicit timestamps (from now_ns()).  The interval lands in the
+/// calling thread's buffer at its current nesting depth, tagged with the
+/// graph run id (nonzero), the task's index within the graph, and the
+/// index of its *critical parent*: the dependency whose completion made
+/// the task ready (kNoParent for sources).  A task is scheduled work,
+/// not part of the thread's RAII nesting, so aggregation reports graph
+/// spans on their own and chains them back from the last-finishing task
+/// to reconstruct the run's critical path.  No-op while tracing is
+/// disabled; scope hooks do not fire.
 void record_graph_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
                        std::uint32_t graph, std::uint32_t task,
                        std::uint32_t dep = kNoParent);

@@ -119,9 +119,9 @@ void set_scope_hooks(const ScopeHooks* hooks) {
 
 namespace {
 
-/// Shared tail of record_span/record_graph_span: append one injected
-/// event to the calling thread's buffer, honouring the capacity cap.
-void push_injected(Event&& e) {
+/// Append one event to the calling thread's buffer under that thread's
+/// id, honouring the capacity cap.
+void push(Event e) {
   ThreadBuffer& buf = local_buffer();
   const std::size_t cap = registry().capacity.load(std::memory_order_relaxed);
   if (buf.events.size() >= cap) {
@@ -129,25 +129,10 @@ void push_injected(Event&& e) {
     return;
   }
   e.tid = buf.tid;
-  e.depth = t_depth;
-  e.injected = true;
-  buf.events.push_back(std::move(e));
+  buf.events.push_back(e);
 }
 
 }  // namespace
-
-void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
-                 double bytes, double flops, std::uint64_t req) {
-  if (!enabled()) return;
-  Event e;
-  e.name = name;
-  e.start_ns = start_ns;
-  e.end_ns = end_ns;
-  e.bytes = bytes;
-  e.flops = flops;
-  e.req = req;
-  push_injected(std::move(e));
-}
 
 void record_graph_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
                        std::uint32_t graph, std::uint32_t task, std::uint32_t dep) {
@@ -156,10 +141,11 @@ void record_graph_span(const char* name, std::uint64_t start_ns, std::uint64_t e
   e.name = name;
   e.start_ns = start_ns;
   e.end_ns = end_ns;
+  e.depth = t_depth;
   e.graph = graph;
   e.task = task;
   e.dep = dep;
-  push_injected(std::move(e));
+  push(e);
 }
 
 void Scope::begin(const char* name, double bytes, double flops) {
@@ -179,13 +165,7 @@ void Scope::end() {
     h->on_end(h->ctx, name_);
   }
   --t_depth;
-  ThreadBuffer& buf = local_buffer();
-  const std::size_t cap = registry().capacity.load(std::memory_order_relaxed);
-  if (buf.events.size() >= cap) {
-    ++buf.dropped;
-    return;
-  }
-  buf.events.push_back(Event{name_, start_ns_, end_ns, buf.tid, depth_, bytes_, flops_});
+  push(Event{name_, start_ns_, end_ns, 0, depth_, bytes_, flops_});
 }
 
 }  // namespace ookami::trace

@@ -36,7 +36,9 @@ TEST_P(LoopKindTest, SpecIsSelfConsistent) {
   // Every kernel moves data.
   EXPECT_GT(s.loads + s.stores + s.gather + s.scatter + s.pred_stores, 0.0);
   // Math kernels have exactly one call per element.
-  if (s.math != MathFn::kNone) EXPECT_EQ(s.math_calls, 1.0);
+  if (s.math != MathFn::kNone) {
+    EXPECT_EQ(s.math_calls, 1.0);
+  }
   // Windowed flag only on the short variants.
   const bool is_short =
       GetParam() == LoopKind::kShortGather || GetParam() == LoopKind::kShortScatter;
@@ -44,8 +46,8 @@ TEST_P(LoopKindTest, SpecIsSelfConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, LoopKindTest, ::testing::ValuesIn(all_loop_kinds()),
-                         [](const auto& info) {
-                           auto n = loop_name(info.param);
+                         [](const auto& param_info) {
+                           auto n = loop_name(param_info.param);
                            for (auto& c : n) {
                              if (c == '-') c = '_';
                            }

@@ -295,7 +295,9 @@ TEST_P(GridSolverTest, ThreadCountInvariance) {
 
 INSTANTIATE_TEST_SUITE_P(Solvers, GridSolverTest,
                          ::testing::Values(Benchmark::kBT, Benchmark::kSP, Benchmark::kLU),
-                         [](const auto& info) { return benchmark_name(info.param); });
+                         [](const auto& param_info) {
+                           return benchmark_name(param_info.param);
+                         });
 
 // SP's final error pins the exact arithmetic of its ADI iteration: the
 // stencil's direction and term order, the tabulated forcing and

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "ookami/perf/app_model.hpp"
+#include "ookami/perf/graph_model.hpp"
 #include "ookami/perf/loop_model.hpp"
 #include "ookami/perf/machine.hpp"
-#include "ookami/perf/sync_model.hpp"
 
 namespace ookami::perf {
 namespace {
@@ -196,65 +196,15 @@ TEST(AppModel, RandomAccessPenalizesA64fxSingleCoreMore) {
   EXPECT_GT(a1, 1.3 * s1);
 }
 
-// --- Fork/join synchronization models --------------------------------------
-
-TEST(SyncModel, CondvarAnchoredToMachineForkJoin) {
-  // The condvar model is calibrated so the full-node A64FX cost lands on
-  // the machine's measured omp_fork_join_us.
-  const auto& m = a64fx();
-  EXPECT_NEAR(condvar_fork_join_s(m, 48) * 1e6, m.omp_fork_join_us, 0.35);
-}
+// --- Fork/join synchronization model ---------------------------------------
 
 TEST(SyncModel, SingleThreadCostsNothing) {
-  const auto& m = a64fx();
-  EXPECT_EQ(condvar_fork_join_s(m, 1), 0.0);
-  EXPECT_EQ(spin_fork_join_s(m, 1), 0.0);
-  EXPECT_EQ(hierarchical_fork_join_s(m, 1), 0.0);
-  EXPECT_EQ(hardware_barrier_s(m, 1), 0.0);
-}
-
-TEST(SyncModel, StrategyOrderingAtFullNode) {
-  // The paper-relevant ordering on a 48-core A64FX: hardware barrier <<
-  // hierarchical < spin < condvar.
-  const auto& m = a64fx();
-  const double condvar = condvar_fork_join_s(m, 48);
-  const double spin = spin_fork_join_s(m, 48);
-  const double hier = hierarchical_fork_join_s(m, 48);
-  const double hwb = hardware_barrier_s(m, 48);
-  EXPECT_LT(spin, condvar);
-  EXPECT_LT(hier, spin);
-  EXPECT_LT(hwb, hier);
-  // RRZE A64FX_HWB scale: the hardware barrier is roughly an order of
-  // magnitude under the runtime's sleeping barrier.
-  EXPECT_GT(condvar / hwb, 8.0);
-  EXPECT_GT(hier / hwb, 2.0);
+  EXPECT_EQ(spin_fork_join_s(a64fx(), 1), 0.0);
 }
 
 TEST(SyncModel, CostsGrowWithThreads) {
   const auto& m = a64fx();
-  EXPECT_GT(condvar_fork_join_s(m, 48), condvar_fork_join_s(m, 4));
   EXPECT_GT(spin_fork_join_s(m, 48), spin_fork_join_s(m, 4));
-  EXPECT_GT(hierarchical_fork_join_s(m, 48), hierarchical_fork_join_s(m, 12));
-}
-
-TEST(SyncModel, HierarchicalGroupSizeDefaultsToCmg) {
-  const auto& m = a64fx();
-  EXPECT_DOUBLE_EQ(hierarchical_fork_join_s(m, 48),
-                   hierarchical_fork_join_s(m, 48, m.numa.cores_per_domain));
-  // A flat "hierarchy" (one 48-wide group) degenerates toward the spin
-  // barrier's O(threads) serialized arrivals.
-  EXPECT_GT(hierarchical_fork_join_s(m, 48, 48), hierarchical_fork_join_s(m, 48, 12));
-}
-
-TEST(SyncModel, SpeedupVsCondvarMatchesRatios) {
-  const auto& m = a64fx();
-  EXPECT_DOUBLE_EQ(modeled_speedup_vs_condvar(m, "spin", 48),
-                   condvar_fork_join_s(m, 48) / spin_fork_join_s(m, 48));
-  EXPECT_GT(modeled_speedup_vs_condvar(m, "hierarchical", 48), 1.0);
-  EXPECT_GT(modeled_speedup_vs_condvar(m, "hardware", 48),
-            modeled_speedup_vs_condvar(m, "hierarchical", 48));
-  // Unknown strategies compare condvar to itself.
-  EXPECT_DOUBLE_EQ(modeled_speedup_vs_condvar(m, "mystery", 48), 1.0);
 }
 
 }  // namespace

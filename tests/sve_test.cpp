@@ -28,7 +28,7 @@ TEST(Pred, BooleanAlgebra) {
   const Pred b = whilelt(0, 6);
   EXPECT_EQ((a & b), a);
   EXPECT_EQ((a | b), b);
-  EXPECT_EQ((!a & a), pfalse());
+  EXPECT_EQ(((!a) & a), pfalse());
   EXPECT_EQ((!pfalse()), ptrue());
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <thread>
@@ -445,36 +446,49 @@ TEST_F(TraceTest, RooflineForRejectsUnknownMachine) {
 }
 
 TEST_F(TraceTest, RecordSpanInjectsCompletedEvents) {
-  // A span that started "elsewhere" (another thread's timestamp) is
-  // recorded with the caller-supplied interval, not the call time.
+  // A graph task's span is recorded with the caller-supplied interval,
+  // not the call time, and carries its graph tags.
   const std::uint64_t start = now_ns();
   spin_ns(100000);
   const std::uint64_t end = now_ns();
-  record_span("serve/queue", start, end, 64.0, 0.0);
+  record_graph_span("sp/rhs", start, end, 3, 5, 2);
   { OOKAMI_TRACE_SCOPE("anchor"); }
 
   const auto events = collect();
   ASSERT_EQ(events.size(), 2u);
   const Event& span = events[0];
-  EXPECT_STREQ(span.name, "serve/queue");
+  EXPECT_STREQ(span.name, "sp/rhs");
   EXPECT_EQ(span.start_ns, start);
   EXPECT_EQ(span.end_ns, end);
-  EXPECT_DOUBLE_EQ(span.bytes, 64.0);
-  // Cross-thread pattern: the executor records a span whose start was
-  // stamped by a connection thread.
+  EXPECT_EQ(span.graph, 3u);
+  EXPECT_EQ(span.task, 5u);
+  EXPECT_EQ(span.dep, 2u);
+  // The tags survive the Chrome export and re-import.
+  std::deque<std::string> names;
+  const auto parsed = harness::events_from_chrome(
+      ookami::json::Value::parse(to_chrome_json(events)), names);
+  const auto tagged = std::find_if(parsed.begin(), parsed.end(),
+                                   [](const Event& e) { return e.graph != 0; });
+  ASSERT_NE(tagged, parsed.end());
+  EXPECT_EQ(tagged->graph, 3u);
+  EXPECT_EQ(tagged->task, 5u);
+  EXPECT_EQ(tagged->dep, 2u);
+  // Cross-thread pattern: the executing worker records a span whose
+  // start was stamped by another thread.
   std::uint64_t other_start = 0;
   std::thread t([&] { other_start = now_ns(); });
   t.join();
-  record_span("cross", other_start, now_ns());
+  record_graph_span("cross", other_start, now_ns(), 3, 6);
   const auto again = collect();
   ASSERT_EQ(again.size(), 3u);
   EXPECT_EQ(again[2].start_ns, other_start);
+  EXPECT_EQ(again[2].dep, kNoParent);
 }
 
 TEST_F(TraceTest, RecordSpanDisabledModeIsInert) {
   set_enabled(false);
   const std::size_t threads_before = thread_count();
-  record_span("nope", 0, 100);
+  record_graph_span("nope", 0, 100, 1, 0);
   set_enabled(true);
   EXPECT_TRUE(collect().empty());
   EXPECT_EQ(thread_count(), threads_before);
@@ -483,49 +497,25 @@ TEST_F(TraceTest, RecordSpanDisabledModeIsInert) {
 TEST_F(TraceTest, RecordSpanHonorsBufferCap) {
   set_thread_capacity(2);
   clear();
-  record_span("a", 0, 1);
-  record_span("b", 1, 2);
-  record_span("c", 2, 3);  // over cap: dropped, counted
+  record_graph_span("a", 0, 1, 1, 0);
+  record_graph_span("b", 1, 2, 1, 1, 0);
+  record_graph_span("c", 2, 3, 1, 2, 1);  // over cap: dropped, counted
   EXPECT_EQ(collect().size(), 2u);
   EXPECT_EQ(dropped(), 1u);
 }
 
-TEST_F(TraceTest, RecordSpanCarriesRequestIdThroughChromeExport) {
-  record_span("serve/queue", 100, 200, 0.0, 0.0, 0xabcdef12u);
-  { OOKAMI_TRACE_SCOPE("anchor"); }
-  const auto events = collect();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_TRUE(events[0].injected);
-  EXPECT_EQ(events[0].req, 0xabcdef12u);
-
-  // Round-trip: the hex "req" arg must survive the JSON double funnel.
-  const std::string chrome = to_chrome_json(events);
-  std::deque<std::string> names;
-  const auto parsed = ookami::harness::events_from_chrome(
-      ookami::json::Value::parse(chrome), names);
-  ASSERT_EQ(parsed.size(), 2u);
-  bool found = false;
-  for (const auto& e : parsed) {
-    if (e.injected) {
-      EXPECT_EQ(e.req, 0xabcdef12u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST_F(TraceTest, AggregateSeparatesInjectedSpansFromRegions) {
-  // Two spans overlapping a region at the same depth: grouping them
-  // into the exclusive-time replay would corrupt it, so they must land
-  // in Report::spans and leave the region untouched.
+  // Two graph spans overlapping a region at the same depth: grouping
+  // them into the exclusive-time replay would corrupt it, so they must
+  // land in Report::spans and leave the region untouched.
   std::vector<Event> events;
   events.push_back(make_event("region", 0, 1000, 1, 0));
-  Event s1 = make_event("serve/queue", 0, 600, 1, 0);
-  s1.injected = true;
-  s1.req = 7;
-  Event s2 = make_event("serve/queue", 100, 900, 2, 0);
-  s2.injected = true;
-  s2.req = 8;
+  Event s1 = make_event("sp/rhs", 0, 600, 1, 0);
+  s1.graph = 1;
+  s1.task = 0;
+  Event s2 = make_event("sp/rhs", 100, 900, 2, 0);
+  s2.graph = 1;
+  s2.task = 1;
   events.push_back(s1);
   events.push_back(s2);
 
@@ -534,26 +524,27 @@ TEST_F(TraceTest, AggregateSeparatesInjectedSpansFromRegions) {
   EXPECT_EQ(report.regions[0].name, "region");
   EXPECT_DOUBLE_EQ(report.regions[0].exclusive_s, 1000e-9);
   ASSERT_EQ(report.spans.size(), 1u);
-  EXPECT_EQ(report.spans[0].name, "serve/queue");
+  EXPECT_EQ(report.spans[0].name, "sp/rhs");
   EXPECT_EQ(report.spans[0].count, 2u);
-  EXPECT_EQ(report.spans[0].requests, 2u);
   EXPECT_EQ(report.spans[0].threads, 2u);
   EXPECT_DOUBLE_EQ(report.spans[0].total_s, 1400e-9);
 
   const std::string table = render(report);
   EXPECT_NE(table.find("injected spans"), std::string::npos);
-  EXPECT_NE(table.find("serve/queue"), std::string::npos);
+  EXPECT_NE(table.find("sp/rhs"), std::string::npos);
 }
 
 TEST_F(TraceTest, AggregateHandlesSpanOnlyTraces) {
   std::vector<Event> events;
-  Event s = make_event("serve/kernel", 10, 20, 1, 0);
-  s.injected = true;
+  Event s = make_event("lulesh/geometry", 10, 20, 1, 0);
+  s.graph = 1;
   events.push_back(s);
   const Report report = aggregate(events, test_roofline());
   EXPECT_TRUE(report.regions.empty());
   ASSERT_EQ(report.spans.size(), 1u);
   EXPECT_EQ(report.spans[0].count, 1u);
+  ASSERT_EQ(report.graphs.size(), 1u);
+  EXPECT_EQ(report.graphs[0].tasks, 1u);
 }
 
 // ---------------------------------------------------- flight recorder

@@ -51,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{"log1p_tiny", log1p_1, [](double x) { return std::log1p(x); }, -1e-8, 1e-8, 2.0},
         SweepCase{"tanh_core", tanh_1, [](double x) { return std::tanh(x); }, -20.0, 20.0, 6.0},
         SweepCase{"tanh_tiny", tanh_1, [](double x) { return std::tanh(x); }, -1e-5, 1e-5, 2.0}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(Exp2, ExactAtIntegers) {
   // The FEXPA path makes integer inputs exact: r = 0, q = 0.

@@ -8,10 +8,11 @@
 // higher direction, and exits 1 when any series moved more than PCT
 // percent (default 10) in the bad direction.  Series present in only
 // one file are reported: added series are informational, removed series
-// become gate failures under --strict (--fail-on-missing is an alias).
+// become gate failures under --strict.
 // --json replaces the text table with an ookami-diff-1 JSON document on
 // stdout so CI can gate on structured deltas.  Exit 2 signals a usage
-// or I/O problem so CI can tell "perf regressed" from "gate broke".
+// or I/O problem (an unknown flag included) so CI can tell "perf
+// regressed" from "gate broke".
 //
 // A shared series whose recorded "backend" changed between the files is
 // warned about but never gates: the numbers are still valid
@@ -28,6 +29,11 @@
 
 int main(int argc, char** argv) {
   const ookami::Cli cli(argc, argv);
+  if (const auto bad = cli.unknown({"help", "threshold", "metric", "strict", "json"});
+      !bad.empty()) {
+    std::fprintf(stderr, "bench_diff: unknown option --%s (see --help)\n", bad.front().c_str());
+    return 2;
+  }
   if (cli.has("help") || cli.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: %s BASELINE.json CANDIDATE.json [--threshold PCT] "
@@ -39,7 +45,7 @@ int main(int argc, char** argv) {
   ookami::harness::DiffOptions opts;
   opts.threshold = cli.get_double("threshold", 10.0) / 100.0;
   opts.metric = cli.get("metric", "median");
-  opts.fail_on_missing = cli.has("strict") || cli.has("fail-on-missing");
+  opts.fail_on_missing = cli.has("strict");
   if (!(opts.threshold >= 0.0)) {
     std::fprintf(stderr, "bench_diff: --threshold must be a non-negative percentage\n");
     return 2;

@@ -1,6 +1,6 @@
 // loadgen — open-loop load generator for ookamid.
 //
-//   loadgen --port P [--host 127.0.0.1] [--trace poisson|bursty]
+//   loadgen --port P [--host 127.0.0.1] [--arrivals poisson|bursty]
 //           [--rate 200] [--requests 400] [--senders 4] [--seed 42]
 //           [--kernel vecmath.exp] [--n 65536]
 //           [--compare-batch "1,16"] [--netsim hdr200-fujitsu]
@@ -105,7 +105,7 @@ double exact_quantile(std::vector<double> sorted, double q) {
 struct Config {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::string trace = "poisson";
+  std::string arrivals = "poisson";
   double rate = 200.0;
   std::size_t requests = 400;
   unsigned senders = 4;
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: loadgen --port P [--host H] [--trace poisson|bursty] [--rate R]\n"
+        "usage: loadgen --port P [--host H] [--arrivals poisson|bursty] [--rate R]\n"
         "               [--requests N] [--senders K] [--seed S] [--kernel NAME]\n"
         "               [--n SIZE] [--compare-batch \"1,16\"] [--netsim PROFILE]\n"
         "               [--sample-log FILE] [harness flags]\n%s",
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.host = cli.get("host", cfg.host);
   cfg.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
-  cfg.trace = cli.get("trace", cfg.trace);
+  cfg.arrivals = cli.get("arrivals", cfg.arrivals);
   cfg.rate = cli.get_double("rate", cfg.rate);
   cfg.requests = static_cast<std::size_t>(cli.get_int("requests", static_cast<long>(cfg.requests)));
   cfg.senders = static_cast<unsigned>(cli.get_int("senders", cfg.senders));
@@ -233,8 +233,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: --port is required (the daemon prints its bound port)\n");
     return 2;
   }
-  if (cfg.trace != "poisson" && cfg.trace != "bursty") {
-    std::fprintf(stderr, "loadgen: --trace must be poisson or bursty\n");
+  if (cfg.arrivals != "poisson" && cfg.arrivals != "bursty") {
+    std::fprintf(stderr, "loadgen: --arrivals must be poisson or bursty\n");
+    return 2;
+  }
+  // --trace is the harness's tracing switch; an arrival shape after it
+  // is a command line from before --arrivals, refused rather than
+  // silently replayed as a traced Poisson run.
+  if (const std::string shape = cli.get("trace", ""); shape == "poisson" || shape == "bursty") {
+    std::fprintf(stderr, "loadgen: the arrival shape is --arrivals %s (--trace turns on tracing)\n",
+                 shape.c_str());
     return 2;
   }
   if (cfg.senders == 0) cfg.senders = 1;
@@ -251,7 +259,7 @@ int main(int argc, char** argv) {
   }
 
   harness::Run run("serve_loadgen", harness::Options::from_cli(cli));
-  run.note("trace", cfg.trace);
+  run.note("arrivals", cfg.arrivals);
   run.note("rate", std::to_string(cfg.rate));
   run.note("requests", std::to_string(cfg.requests));
   run.note("senders", std::to_string(cfg.senders));
@@ -261,7 +269,7 @@ int main(int argc, char** argv) {
   if (cfg.netsim != nullptr) run.note("netsim", cli.get("netsim", ""));
 
   const std::vector<double> arrivals =
-      make_arrivals(cfg.trace, cfg.requests, cfg.rate, cfg.seed);
+      make_arrivals(cfg.arrivals, cfg.requests, cfg.rate, cfg.seed);
 
   // Batch limits to sweep: "--compare-batch A,B" replays the trace once
   // per limit via POST /config; default is one phase at the daemon's
@@ -281,7 +289,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, PhaseResult>> phases;
   try {
     if (batches.empty()) {
-      phases.emplace_back(cfg.trace, replay(cfg, arrivals));
+      phases.emplace_back(cfg.arrivals, replay(cfg, arrivals));
     } else {
       for (long b : batches) {
         json::Value req = json::Value::object();
@@ -291,7 +299,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "loadgen: POST /config batch=%ld failed (%d)\n", b, r.status);
           return 1;
         }
-        phases.emplace_back(cfg.trace + "/batch" + std::to_string(b), replay(cfg, arrivals));
+        phases.emplace_back(cfg.arrivals + "/batch" + std::to_string(b), replay(cfg, arrivals));
       }
     }
   } catch (const std::exception& e) {

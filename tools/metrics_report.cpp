@@ -9,8 +9,9 @@
 // what the host's hardware counters saw; the modeled columns are the
 // roofline verdicts from the bytes/flops annotations — the last column
 // says whether they agree (see EXPERIMENTS.md for how to read
-// disagreement).  Exit 2 signals a usage/input problem, including a
-// result file with neither block (run the bench with --metrics).
+// disagreement).  Exit 2 signals a usage/input problem, including an
+// unknown flag and a result file with neither block (run the bench
+// with --metrics).
 
 #include <cmath>
 #include <cstdio>
@@ -97,6 +98,11 @@ void print_regions(const Value& profile, std::size_t top) {
 
 int main(int argc, char** argv) {
   const ookami::Cli cli(argc, argv);
+  if (const auto bad = cli.unknown({"help", "top"}); !bad.empty()) {
+    std::fprintf(stderr, "metrics_report: unknown option --%s (see --help)\n",
+                 bad.front().c_str());
+    return 2;
+  }
   if (cli.has("help") || cli.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: %s BENCH.json [--top N]\n"

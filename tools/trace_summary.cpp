@@ -1,25 +1,33 @@
-// trace_summary — per-region roofline report over a saved trace.
+// trace_summary — digest of a saved trace or flight-recorder dump.
 //
 //   trace_summary TRACE.json [--top N] [--machine a64fx|skylake|knl|zen2]
-//                 [--region NAME] [--req HEX]
+//                 [--region NAME] [--critical-path]
+//   trace_summary FLIGHT.json [--top N] [--req HEX]
 //
-// Reads a Chrome trace-event document (the TRACE_<bench>.json files the
+// Detects which of the kit's two recordings the file holds.
+//
+// A Chrome trace-event document (the TRACE_<bench>.json files the
 // harness writes under --trace, or any file with "ph":"X" complete
-// events), rebuilds the region nesting, and prints the aggregated
-// per-region table: call counts, inclusive/exclusive wall time, and —
-// where regions carry bytes/flops annotations — achieved GF/s, GB/s,
-// arithmetic intensity and the memory-/compute-bound verdict against
-// the chosen machine's roofline.  Injected record_span events (the
-// cross-thread serving spans ookamid emits) are grouped into their own
-// table automatically.
+// events) is a whole-run profile: the tool rebuilds the region nesting
+// and prints the aggregated per-region table — call counts,
+// inclusive/exclusive wall time, and, where regions carry bytes/flops
+// annotations, achieved GF/s, GB/s, arithmetic intensity and the
+// memory-/compute-bound verdict against the chosen machine's roofline —
+// then the task-graph spans (record_graph_span) in a table of their own.
+// --top N keeps the N largest regions (default all).  --region NAME
+// restricts the report to one region or span name; an unknown name
+// errors with the nearest match ("did you mean ...").  --critical-path
+// prints the hop-by-hop longest dependency chain of each task-graph
+// run; a trace with no graph spans exits 2.
 //
-// --region NAME restricts the report to one region or span name; an
-// unknown name errors with the nearest match ("did you mean ...").
-// --req HEX prints the raw event list of one request's trace id, in
-// start order.  --critical-path prints the hop-by-hop longest
-// dependency chain of each task-graph run in the trace (the spans the
-// taskgraph executor records); a trace with no graph spans exits 2.
-// Exit 2 signals a usage/input problem.
+// An ookami-flight-1 dump (GET /debug/flight, SIGQUIT, or an automatic
+// SLO/queue trigger of ookamid) is the daemon's recent window: the tool
+// prints the dump header, per-kind event counts, the N slowest requests
+// by summed span time (--top, default 5) and the counter/gauge
+// snapshot.  --req HEX prints every event of one trace id instead.
+//
+// A flag the file's kind does not take, an unknown flag, or a file of
+// neither kind exits 2, as does any other usage or input problem.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,6 +35,7 @@
 #include <deque>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -38,6 +47,8 @@
 #include "ookami/trace/aggregate.hpp"
 
 namespace {
+
+namespace json = ookami::json;
 
 /// Classic DP edit distance; small inputs only (region names).
 std::size_t levenshtein(const std::string& a, const std::string& b) {
@@ -68,52 +79,138 @@ std::string nearest(const std::string& wanted, const std::set<std::string>& name
   return best;
 }
 
-std::uint64_t parse_hex(const std::string& s) {
-  if (s.empty() || s.size() > 16) return 0;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint64_t>(c - 'A' + 10);
-    else return 0;
+/// The ookami-flight-1 digest: dump header, per-kind event counts, the
+/// `top` slowest requests by summed span time and the counter/gauge
+/// snapshot — or, with `req` set, every event of that trace id.
+int flight_digest(const json::Value& doc, const std::string& req, std::size_t top) {
+  struct Ev {
+    std::string kind, name, req;
+    double start_us = 0.0, dur_us = 0.0, value = 0.0;
+  };
+  std::vector<Ev> evs;
+  if (const json::Value* events = doc.find("events"); events != nullptr && events->is_array()) {
+    evs.reserve(events->size());
+    for (const json::Value& e : events->items()) {
+      if (!e.is_object()) continue;
+      evs.push_back({e.string_or("kind", "?"), e.string_or("name", "?"), e.string_or("req", ""),
+                     e.number_or("start_us", 0.0), e.number_or("dur_us", 0.0),
+                     e.number_or("value", 0.0)});
+    }
   }
-  return v;
+  const json::Value* enabled = doc.find("enabled");
+  std::printf("flight: reason=%s events=%zu recorded=%.0f capacity=%.0f enabled=%s\n",
+              doc.string_or("reason", "?").c_str(), evs.size(), doc.number_or("recorded", 0.0),
+              doc.number_or("capacity", 0.0),
+              enabled != nullptr && enabled->is_bool() && enabled->as_bool() ? "yes" : "no");
+
+  if (!req.empty()) {
+    std::vector<const Ev*> mine;
+    for (const Ev& e : evs) {
+      if (e.req == req) mine.push_back(&e);
+    }
+    if (mine.empty()) {
+      std::fprintf(stderr, "trace_summary: no events for request %s\n", req.c_str());
+      return 2;
+    }
+    std::sort(mine.begin(), mine.end(),
+              [](const Ev* a, const Ev* b) { return a->start_us < b->start_us; });
+    const double t0 = mine.front()->start_us;
+    std::printf("request %s: %zu event(s)\n", req.c_str(), mine.size());
+    std::printf("%-8s %-24s %12s %12s %10s\n", "kind", "name", "offset(us)", "dur(us)", "value");
+    for (const Ev* e : mine) {
+      std::printf("%-8s %-24s %12.3f %12.3f %10g\n", e->kind.c_str(), e->name.c_str(),
+                  e->start_us - t0, e->dur_us, e->value);
+    }
+    return 0;
+  }
+
+  std::map<std::string, std::size_t> by_kind;
+  for (const Ev& e : evs) ++by_kind[e.kind + "/" + e.name];
+  std::printf("events by kind/name:\n");
+  for (const auto& [key, count] : by_kind) std::printf("  %-32s %zu\n", key.c_str(), count);
+
+  // Slowest requests: total span time per trace id (queue + kernel).
+  std::map<std::string, double> per_req;
+  for (const Ev& e : evs) {
+    if (e.kind == "span" && !e.req.empty()) per_req[e.req] += e.dur_us;
+  }
+  std::vector<std::pair<std::string, double>> slow(per_req.begin(), per_req.end());
+  std::sort(slow.begin(), slow.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  if (!slow.empty()) {
+    std::printf("slowest requests (summed span time):\n");
+    for (std::size_t i = 0; i < slow.size() && i < top; ++i) {
+      std::printf("  %s %12.3f us\n", slow[i].first.c_str(), slow[i].second);
+    }
+  }
+
+  for (const char* block : {"counters", "gauges"}) {
+    const json::Value* values = doc.find(block);
+    if (values == nullptr || !values->is_object() || values->size() == 0) continue;
+    std::printf("%s:\n", block);
+    for (const auto& [name, v] : values->members()) {
+      std::printf(std::strcmp(block, "counters") == 0 ? "  %-32s %.0f\n" : "  %-32s %g\n",
+                  name.c_str(), v.is_number() ? v.as_number() : 0.0);
+    }
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const ookami::Cli cli(argc, argv);
+  if (const auto bad = cli.unknown({"help", "top", "machine", "region", "critical-path", "req"});
+      !bad.empty()) {
+    std::fprintf(stderr, "trace_summary: unknown option --%s (see --help)\n",
+                 bad.front().c_str());
+    return 2;
+  }
   if (cli.has("help") || cli.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: %s TRACE.json [--top N] [--machine a64fx|skylake|knl|zen2]\n"
-                 "          [--region NAME] [--req HEX] [--critical-path]\n"
+                 "          [--region NAME] [--critical-path]\n"
+                 "       %s FLIGHT.json [--top N] [--req HEX]\n"
                  "  TRACE.json  a Chrome trace-event file (harness TRACE_<bench>.json)\n"
-                 "  --top N     print only the N largest regions by exclusive time\n"
+                 "  FLIGHT.json an ookami-flight-1 dump (GET /debug/flight output)\n"
+                 "  --top N     trace: the N largest regions by exclusive time (default all);\n"
+                 "              dump: the N slowest requests (default 5)\n"
                  "  --machine M roofline used for the verdicts (default a64fx)\n"
                  "  --region R  restrict the report to one region/span name\n"
-                 "  --req HEX   print the events of one request trace id\n"
                  "  --critical-path\n"
-                 "              print the longest dependency chain of each task-graph run\n",
-                 cli.program().c_str());
+                 "              print the longest dependency chain of each task-graph run\n"
+                 "  --req HEX   print every event of one request trace id (dumps only)\n",
+                 cli.program().c_str(), cli.program().c_str());
     return cli.has("help") ? 0 : 2;
   }
 
-  const auto top = static_cast<std::size_t>(cli.get_int("top", 0));
-  const std::string machine = cli.get("machine", "a64fx");
-  const std::string region = cli.get("region", "");
-  const std::string req_hex = cli.get("req", "");
-
+  const std::string& path = cli.positional()[0];
   try {
-    std::ifstream in(cli.positional()[0]);
+    std::ifstream in(path);
     if (!in) {
-      std::fprintf(stderr, "trace_summary: cannot open '%s'\n", cli.positional()[0].c_str());
+      std::fprintf(stderr, "trace_summary: cannot open '%s'\n", path.c_str());
       return 2;
     }
     std::ostringstream os;
     os << in.rdbuf();
-    const ookami::json::Value doc = ookami::json::Value::parse(os.str());
+    const json::Value doc = json::Value::parse(os.str());
+
+    if (doc.is_object() && doc.string_or("schema", "") == "ookami-flight-1") {
+      for (const char* flag : {"machine", "region", "critical-path"}) {
+        if (cli.has(flag)) {
+          std::fprintf(stderr, "trace_summary: --%s reads Chrome traces; '%s' is an "
+                               "ookami-flight-1 dump\n", flag, path.c_str());
+          return 2;
+        }
+      }
+      return flight_digest(doc, cli.get("req", ""),
+                           static_cast<std::size_t>(cli.get_int("top", 5)));
+    }
+    if (cli.has("req")) {
+      std::fprintf(stderr, "trace_summary: --req reads ookami-flight-1 dumps; '%s' is not "
+                           "one (Chrome traces carry no request ids)\n", path.c_str());
+      return 2;
+    }
 
     std::deque<std::string> names;
     auto events = ookami::harness::events_from_chrome(doc, names);
@@ -123,41 +220,10 @@ int main(int argc, char** argv) {
       // loudly instead of printing an empty table.
       std::fprintf(stderr,
                    "trace_summary: '%s' contains no complete (\"ph\":\"X\") trace events\n",
-                   cli.positional()[0].c_str());
+                   path.c_str());
       return 2;
     }
-
-    if (!req_hex.empty()) {
-      const std::uint64_t id = parse_hex(req_hex);
-      if (id == 0) {
-        std::fprintf(stderr, "trace_summary: --req wants 1-16 hex digits, got '%s'\n",
-                     req_hex.c_str());
-        return 2;
-      }
-      std::vector<ookami::trace::Event> mine;
-      for (const auto& e : events) {
-        if (e.req == id) mine.push_back(e);
-      }
-      if (mine.empty()) {
-        std::fprintf(stderr, "trace_summary: no events tagged with request %s\n",
-                     req_hex.c_str());
-        return 2;
-      }
-      std::sort(mine.begin(), mine.end(),
-                [](const ookami::trace::Event& a, const ookami::trace::Event& b) {
-                  return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
-                                                  : a.end_ns < b.end_ns;
-                });
-      const std::uint64_t t0 = mine.front().start_ns;
-      std::printf("request %s: %zu event(s)\n", req_hex.c_str(), mine.size());
-      std::printf("%-24s %12s %12s %6s\n", "span", "offset(us)", "dur(us)", "tid");
-      for (const auto& e : mine) {
-        std::printf("%-24s %12.3f %12.3f %6u\n", e.name,
-                    static_cast<double>(e.start_ns - t0) * 1e-3,
-                    static_cast<double>(e.end_ns - e.start_ns) * 1e-3, e.tid);
-      }
-      return 0;
-    }
+    const std::string machine = cli.get("machine", "a64fx");
 
     if (cli.has("critical-path")) {
       const auto report = ookami::trace::aggregate(
@@ -169,7 +235,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "trace_summary: '%s' contains no task-graph spans "
                      "(was the workload run with OOKAMI_TASKGRAPH=1 and tracing on?)\n",
-                     cli.positional()[0].c_str());
+                     path.c_str());
         return 2;
       }
       for (const auto& g : report.graphs) {
@@ -178,7 +244,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (!region.empty()) {
+    if (const std::string region = cli.get("region", ""); !region.empty()) {
       std::set<std::string> known;
       for (const auto& e : events) known.insert(e.name);
       if (known.count(region) == 0) {
@@ -197,7 +263,8 @@ int main(int argc, char** argv) {
 
     const auto report = ookami::trace::aggregate(
         events, ookami::harness::roofline_for(machine));
-    std::printf("%s", ookami::trace::render(report, top).c_str());
+    std::printf("%s", ookami::trace::render(report, static_cast<std::size_t>(
+                                                        cli.get_int("top", 0))).c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trace_summary: %s\n", e.what());
