@@ -3,8 +3,10 @@
 // the error bars the paper's Figures 8-9 report.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -77,6 +79,15 @@ inline double nan_max(double worst, double d) { return (std::isnan(d) || d > wor
 /// otherwise returns the same bits as std::min(best, d) (`best` on ties,
 /// so signed zeros fold exactly as std::min folds them).
 inline double nan_min(double best, double d) { return (std::isnan(d) || d < best) ? d : best; }
+
+/// The bit-identity comparison under the NaN rule of the op contract in
+/// ookami/simd/batch.hpp: two NaNs match whatever their sign and
+/// payload, a NaN never matches a number, and every other pair must
+/// have the same bits (so +0 and -0 differ).
+inline bool same_bits_or_both_nan(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /// Relative difference |a-b| / max(|a|,|b|,eps); convenient for tests.
 inline double rel_diff(double a, double b) {

@@ -82,6 +82,16 @@ std::string Options::usage() {
          "  --help            this message\n";
 }
 
+std::vector<std::string> Options::switches() {
+  return {"no-json", "no-csv", "no-samples", "strict-claims", "trace",
+          "metrics", "list", "list-kernels", "help"};
+}
+
+std::vector<std::string> Options::options() {
+  return {"repeats", "warmup", "min-time", "max-repeats", "out-dir",
+          "trace-top", "trace-machine", "metrics-backend", "filter"};
+}
+
 json::Value Environment::to_json() const {
   json::Value v = json::Value::object();
   v.set("host", host);
@@ -344,7 +354,7 @@ std::vector<std::string> registered_benches() {
 }
 
 int run_main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, Options::switches());
   if (cli.has("help")) {
     std::printf("%s", Options::usage().c_str());
     return 0;

@@ -73,6 +73,11 @@ struct Options {
   static Options from_cli(const Cli& cli);
   /// Human-readable flag reference for --help.
   static std::string usage();
+  /// The flags usage() lists: the switches, which take no value, and the
+  /// options, which take one.  A tool that embeds the harness names both
+  /// to Cli and refuses every other flag.
+  static std::vector<std::string> switches();
+  static std::vector<std::string> options();
 };
 
 /// Captured execution environment, archived with every result file.

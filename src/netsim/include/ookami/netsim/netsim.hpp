@@ -11,7 +11,6 @@
 // efficiency parameter.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,40 +58,6 @@ private:
   MpiStack stack_;
   std::vector<double> time_;
 };
-
-/// Deterministic per-message delay sampler: the cost model's
-/// message_seconds(bytes) mean with counter-indexed multiplicative
-/// jitter, for injecting realistic fabric latency into clients (the
-/// load generator's --netsim flag) without any shared RNG state.
-///
-/// The jitter is lognormal-ish: delay = mean * exp(sigma * z) where z
-/// is a standard-normal-ish deviate hashed from (seed, index) — same
-/// (seed, index) always gives the same delay, so a replayed trace is
-/// bit-identical regardless of which thread samples it.  Delays are
-/// always strictly positive.
-class DelaySampler {
-public:
-  DelaySampler(Fabric fabric, MpiStack stack, std::uint64_t seed, double sigma = 0.3);
-
-  /// Mean (jitter-free) delay for a message of `bytes`.
-  [[nodiscard]] double mean_seconds(std::size_t bytes) const;
-
-  /// Jittered delay for message number `index` of `bytes`.
-  [[nodiscard]] double sample_seconds(std::size_t bytes, std::uint64_t index) const;
-
-  [[nodiscard]] const Fabric& fabric() const { return fabric_; }
-  [[nodiscard]] const MpiStack& stack() const { return stack_; }
-
-private:
-  Fabric fabric_;
-  MpiStack stack_;
-  std::uint64_t seed_;
-  double sigma_;
-};
-
-/// Named fabric+stack pairing for CLI use: "hdr200-fujitsu" or
-/// "hdr200-openmpi".  Throws std::invalid_argument on unknown names.
-DelaySampler delay_profile(const std::string& name, std::uint64_t seed);
 
 /// A simulated communicator over `ranks` buffers of doubles.  Each
 /// collective really moves/combines the data and charges the cost model

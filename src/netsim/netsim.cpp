@@ -1,10 +1,7 @@
 #include "ookami/netsim/netsim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "ookami/common/rng.hpp"
 
 namespace ookami::netsim {
 
@@ -43,35 +40,6 @@ double CostModel::max_seconds() const {
 }
 
 double CostModel::rank_seconds(int r) const { return time_[static_cast<std::size_t>(r)]; }
-
-DelaySampler::DelaySampler(Fabric fabric, MpiStack stack, std::uint64_t seed, double sigma)
-    : fabric_(std::move(fabric)), stack_(std::move(stack)), seed_(seed), sigma_(sigma) {
-  if (!(sigma_ >= 0.0)) throw std::invalid_argument("DelaySampler: sigma must be >= 0");
-}
-
-double DelaySampler::mean_seconds(std::size_t bytes) const {
-  const double bw = fabric_.link_bw_gbs * stack_.bw_efficiency * 1e9;
-  return fabric_.latency_us * stack_.latency_factor * 1e-6 + static_cast<double>(bytes) / bw;
-}
-
-double DelaySampler::sample_seconds(std::size_t bytes, std::uint64_t index) const {
-  const double mean = mean_seconds(bytes);
-  if (sigma_ == 0.0) return mean;
-  // Standard-normal-ish deviate from two counter-hashed uniforms
-  // (Box-Muller cosine branch); deterministic in (seed, index) alone.
-  const CounterRng rng(seed_);
-  const double u1 = std::max(rng.uniform(2 * index), 0x1.0p-53);
-  const double u2 = rng.uniform(2 * index + 1);
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * 3.14159265358979323846 * u2);
-  return mean * std::exp(sigma_ * z);
-}
-
-DelaySampler delay_profile(const std::string& name, std::uint64_t seed) {
-  if (name == "hdr200-fujitsu") return DelaySampler(hdr200(), fujitsu_mpi(), seed);
-  if (name == "hdr200-openmpi") return DelaySampler(hdr200(), openmpi_armpl(), seed);
-  throw std::invalid_argument("delay_profile: unknown profile '" + name +
-                              "' (expected hdr200-fujitsu or hdr200-openmpi)");
-}
 
 Communicator::Communicator(Fabric fabric, MpiStack stack, int ranks)
     : ranks_(ranks), cost_(std::move(fabric), std::move(stack), ranks) {}

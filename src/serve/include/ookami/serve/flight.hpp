@@ -3,7 +3,7 @@
 // ring (recent spans + request events) plus a point-in-time metrics
 // snapshot into the "ookami-flight-1" JSON document served by
 // GET /debug/flight, written on SIGQUIT, and archived automatically
-// when a degradation trigger (queue depth, SLO burn) fires.
+// when a full admission queue refuses a request.
 //
 // Lives in serve (not trace) because the dump couples the trace ring
 // with the metrics registry; the ring itself stays dependency-free in
@@ -21,7 +21,7 @@ namespace ookami::serve {
 
 /// Serialize the recorder's current snapshot.  `registry` may be null
 /// (no counter/gauge section).  `reason` records why the dump was
-/// taken ("endpoint", "sigquit", "slo_burn", "queue_depth", ...).
+/// taken ("endpoint", "sigquit" or "queue_depth").
 std::string flight_json(const trace::FlightRecorder& recorder,
                         const metrics::Registry* registry, const std::string& reason);
 

@@ -29,23 +29,21 @@
 //                       carries the request's 16-hex trace id
 //   GET  /metrics       Prometheus text exposition of the live registry
 //                       (histogram buckets carry OpenMetrics exemplars
-//                       pointing at trace ids; SLO burn gauges are
-//                       refreshed on every scrape)
+//                       pointing at trace ids)
 //   GET  /kernels       servable kernel names + size caps (JSON)
 //   GET  /healthz       uptime, build info, pool geometry, serve config
 //   GET  /trace/<id>    span tree of one request (queue wait + kernel
 //                       run) recovered from the flight-recorder ring;
 //                       404 not_found once the ring has overwritten it
 //   GET  /debug/flight  live flight-recorder dump (ookami-flight-1)
-//   POST /config        {"batch": B} and/or {"slo": {"kernel": K,
-//                       "target_ms": T, "objective": O}} — runtime
-//                       batching limit and per-kernel SLO targets
+//   POST /config        {"batch": B} — the runtime coalescing limit
 //
-// Degradation triggers: when admission-queue depth crosses 90% of
-// capacity or any kernel's 1-minute SLO burn rate crosses
-// `slo_breach_burn`, the server automatically takes a flight-recorder
-// dump (rate-limited to one per 5 s) — to a file when
+// Degradation trigger: when a request is refused because the admission
+// queue is full, the server automatically takes a flight-recorder dump
+// (reason "queue_depth", rate-limited to one per 5 s) — to a file when
 // `flight_dump_path` is set, and always counted + marked in the ring.
+// The refusal is in the ring before the dump, so every automatic dump
+// holds the request that set it off.
 //
 // Shutdown: drain() (or SIGTERM in ookamid) stops accepting, fails new
 // admissions with `draining`, finishes everything already queued,
@@ -55,6 +53,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,7 +62,6 @@
 #include "ookami/metrics/registry.hpp"
 #include "ookami/serve/catalog.hpp"
 #include "ookami/serve/queue.hpp"
-#include "ookami/serve/slo.hpp"
 
 namespace ookami::serve {
 
@@ -73,17 +71,10 @@ struct ServerOptions {
   std::size_t queue_depth = 64;  ///< admission bound (OOKAMI_SERVE_QUEUE_DEPTH)
   std::size_t max_batch = 16;    ///< coalescing limit (OOKAMI_SERVE_BATCH)
   unsigned threads = 0;          ///< pool size, 0 = hardware concurrency
-
-  // SLO / flight-recorder knobs.
-  double slo_target_ms = 50.0;      ///< default latency target (OOKAMI_SERVE_SLO_MS)
-  double slo_objective = 0.99;      ///< default good-fraction objective
-  double slo_breach_burn = 14.4;    ///< 1m burn rate that triggers a flight dump
-  double queue_trigger_frac = 0.9;  ///< queue depth/capacity that triggers a dump
-  std::string flight_dump_path;     ///< auto-dump file (OOKAMI_SERVE_FLIGHT_DUMP)
+  std::string flight_dump_path;  ///< auto-dump file (OOKAMI_SERVE_FLIGHT_DUMP)
 
   /// Defaults overlaid with OOKAMI_SERVE_PORT / OOKAMI_SERVE_QUEUE_DEPTH /
-  /// OOKAMI_SERVE_BATCH / OOKAMI_SERVE_THREADS / OOKAMI_SERVE_SLO_MS /
-  /// OOKAMI_SERVE_FLIGHT_DUMP.
+  /// OOKAMI_SERVE_BATCH / OOKAMI_SERVE_THREADS / OOKAMI_SERVE_FLIGHT_DUMP.
   static ServerOptions from_env();
 };
 
@@ -115,7 +106,6 @@ class Server {
   [[nodiscard]] std::size_t max_batch() const {
     return max_batch_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] SloTracker& slo() { return slo_; }
 
   /// Take a flight-recorder dump now: serialize the ring + metrics
   /// snapshot, bump serve/flight_dumps_total, and (when
@@ -141,8 +131,8 @@ class Server {
   void process_batch(const std::vector<std::shared_ptr<Pending>>& batch);
   void reap_connections(bool join_all);
   [[nodiscard]] std::uint64_t new_trace_id();
-  /// Rate-limited (one per 5 s) automatic dump; `reason` is a literal.
-  void maybe_dump_flight(const char* reason);
+  /// The automatic "queue_depth" dump, rate-limited to one per 5 s.
+  void maybe_dump_flight();
 
   ServerOptions opts_;
   std::uint16_t port_ = 0;
@@ -152,7 +142,6 @@ class Server {
   AdmissionQueue queue_;
   Catalog const* catalog_;
   metrics::Registry registry_;
-  SloTracker slo_;
 
   std::atomic<std::size_t> max_batch_;
   std::atomic<bool> running_{false};

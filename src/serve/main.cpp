@@ -1,7 +1,7 @@
 // ookamid — kernel-serving daemon.
 //
 //   ookamid [--port P] [--queue-depth D] [--batch B] [--threads T]
-//           [--metrics-out FILE] [--flight-dump FILE] [--slo-ms MS]
+//           [--metrics-out FILE] [--flight-dump FILE]
 //
 // Flags override the OOKAMI_SERVE_* environment; defaults are port
 // 34127, depth 64, batch 16.  `--port 0` binds an ephemeral port; the
@@ -10,8 +10,8 @@
 // queue, answer in-flight clients, optionally flush the metrics
 // registry to --metrics-out, then exit 0.  SIGQUIT takes a
 // flight-recorder dump (to --flight-dump when set, else stdout)
-// without shutting down; SLO breaches and queue saturation dump to the
-// same file automatically.
+// without shutting down; a request refused by a full admission queue
+// dumps to the same file automatically.  An unknown flag exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -24,16 +24,22 @@
 int main(int argc, char** argv) {
   using namespace ookami;
 
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"help"});
+  if (const auto bad =
+          cli.unknown({"port", "queue-depth", "batch", "threads", "metrics-out", "flight-dump"});
+      !bad.empty()) {
+    std::fprintf(stderr, "ookamid: unknown option --%s (see --help)\n", bad.front().c_str());
+    return 2;
+  }
   if (cli.has("help")) {
     std::printf(
         "usage: ookamid [--port P] [--queue-depth D] [--batch B] [--threads T]\n"
-        "               [--metrics-out FILE] [--flight-dump FILE] [--slo-ms MS]\n"
+        "               [--metrics-out FILE] [--flight-dump FILE]\n"
         "Kernel-serving daemon: POST /run, GET /metrics, GET /kernels,\n"
         "GET /healthz, GET /trace/<id>, GET /debug/flight, POST /config.\n"
         "SIGQUIT dumps the flight recorder without shutting down.\n"
         "Env: OOKAMI_SERVE_PORT, OOKAMI_SERVE_QUEUE_DEPTH, OOKAMI_SERVE_BATCH,\n"
-        "OOKAMI_SERVE_THREADS, OOKAMI_SERVE_SLO_MS, OOKAMI_SERVE_FLIGHT_DUMP.\n");
+        "OOKAMI_SERVE_THREADS, OOKAMI_SERVE_FLIGHT_DUMP.\n");
     return 0;
   }
 
@@ -45,8 +51,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("batch", static_cast<long>(opts.max_batch)));
   opts.threads = static_cast<unsigned>(cli.get_int("threads", opts.threads));
   opts.flight_dump_path = cli.get("flight-dump", opts.flight_dump_path);
-  const double slo_ms = cli.get_double("slo-ms", opts.slo_target_ms);
-  if (slo_ms > 0.0) opts.slo_target_ms = slo_ms;
   const std::string metrics_out = cli.get("metrics-out", "");
 
   serve::install_stop_signal_handlers();

@@ -39,15 +39,6 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(parsed);
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(parsed > 0.0)) return fallback;
-  return parsed;
-}
-
 /// splitmix64 finalizer: turns the sequential request counter into
 /// well-spread 64-bit trace ids (distinct inputs -> distinct outputs,
 /// so ids never collide within a server's lifetime).
@@ -101,7 +92,6 @@ ServerOptions ServerOptions::from_env() {
   opts.queue_depth = env_size("OOKAMI_SERVE_QUEUE_DEPTH", opts.queue_depth);
   opts.max_batch = env_size("OOKAMI_SERVE_BATCH", opts.max_batch);
   opts.threads = static_cast<unsigned>(env_size("OOKAMI_SERVE_THREADS", 0));
-  opts.slo_target_ms = env_double("OOKAMI_SERVE_SLO_MS", opts.slo_target_ms);
   if (const char* v = std::getenv("OOKAMI_SERVE_FLIGHT_DUMP"); v != nullptr && *v != '\0') {
     opts.flight_dump_path = v;
   }
@@ -113,9 +103,7 @@ Server::Server(ServerOptions opts)
       pool_(opts_.threads),
       queue_(opts_.queue_depth),
       catalog_(&Catalog::global()),
-      max_batch_(opts_.max_batch == 0 ? 1 : opts_.max_batch) {
-  slo_.set_target("*", SloTarget{opts_.slo_target_ms * 1e-3, opts_.slo_objective});
-}
+      max_batch_(opts_.max_batch == 0 ? 1 : opts_.max_batch) {}
 
 Server::~Server() { drain(); }
 
@@ -260,9 +248,6 @@ void Server::handle_request(int fd, const HttpRequest& req) {
     return;
   }
   if (req.method == "GET" && req.target == "/metrics") {
-    // Burn-rate gauges are windowed: refresh them at scrape time so the
-    // exposition reflects "now", not the last request completion.
-    slo_.export_to(registry_, trace::now_ns());
     write_http_response(fd, 200, registry_.to_prometheus("ookami"),
                         "text/plain; version=0.0.4");
     return;
@@ -333,11 +318,6 @@ void Server::handle_healthz(int fd) {
   const trace::FlightRecorder& fr = trace::FlightRecorder::global();
   serve.set("flight_capacity", static_cast<unsigned long long>(fr.capacity()));
   serve.set("flight_enabled", fr.enabled());
-  const SloTarget t = slo_.target_for("*");
-  json::Value slo = json::Value::object();
-  slo.set("target_ms", t.target_s * 1e3);
-  slo.set("objective", t.objective);
-  serve.set("slo", std::move(slo));
   doc.set("serve", std::move(serve));
 
   write_http_response(fd, 200, doc.dump(0), "application/json");
@@ -394,56 +374,16 @@ void Server::handle_config(int fd, const std::string& body) {
     return;
   }
   const json::Value* batch = doc.is_object() ? doc.find("batch") : nullptr;
-  const json::Value* slo = doc.is_object() ? doc.find("slo") : nullptr;
-  if (batch == nullptr && slo == nullptr) {
+  if (batch == nullptr || !batch->is_number() || !(batch->as_number() >= 1.0)) {
     write_http_response(fd, 400,
                         error_body(ErrorCode::kBadRequest, "'batch' must be >= 1"));
     return;
   }
-  if (batch != nullptr && (!batch->is_number() || !(batch->as_number() >= 1.0))) {
-    write_http_response(fd, 400,
-                        error_body(ErrorCode::kBadRequest, "'batch' must be >= 1"));
-    return;
-  }
-  SloTarget target;
-  std::string slo_kernel = "*";
-  if (slo != nullptr) {
-    if (!slo->is_object() || !(slo->number_or("target_ms", 0.0) > 0.0)) {
-      write_http_response(
-          fd, 400,
-          error_body(ErrorCode::kBadRequest, "'slo' needs a positive 'target_ms'"));
-      return;
-    }
-    const double objective = slo->number_or("objective", opts_.slo_objective);
-    if (!(objective > 0.0) || !(objective < 1.0)) {
-      write_http_response(fd, 400,
-                          error_body(ErrorCode::kBadRequest,
-                                     "'slo.objective' must be in (0, 1)"));
-      return;
-    }
-    slo_kernel = slo->string_or("kernel", "*");
-    target = SloTarget{slo->number_or("target_ms", 0.0) * 1e-3, objective};
-  }
-  // Validation complete; apply both knobs atomically-enough (no partial
-  // failure after this point).
+  const auto value = static_cast<std::size_t>(batch->as_number());
+  max_batch_.store(value, std::memory_order_relaxed);
   json::Value ok = json::Value::object();
   ok.set("status", "ok");
-  if (batch != nullptr) {
-    const auto value = static_cast<std::size_t>(batch->as_number());
-    max_batch_.store(value, std::memory_order_relaxed);
-    ok.set("batch", static_cast<unsigned long long>(value));
-  }
-  if (slo != nullptr) {
-    slo_.set_target(slo_kernel, target);
-    trace::FlightRecorder::global().record(trace::FlightKind::kMark, "serve/config/slo", 0,
-                                           trace::now_ns(), trace::now_ns(),
-                                           target.target_s * 1e3);
-    json::Value applied = json::Value::object();
-    applied.set("kernel", slo_kernel);
-    applied.set("target_ms", target.target_s * 1e3);
-    applied.set("objective", target.objective);
-    ok.set("slo", std::move(applied));
-  }
+  ok.set("batch", static_cast<unsigned long long>(value));
   write_http_response(fd, 200, ok.dump(0));
 }
 
@@ -490,7 +430,7 @@ void Server::handle_run(int fd, const std::string& body) {
     registry_.counter(draining ? "serve/rejected_draining" : "serve/rejected_overloaded").add();
     flight.record(trace::FlightKind::kRequest, "serve/rejected", pending->trace_id,
                   pending->enq_ns, trace::now_ns(), static_cast<double>(queue_.depth()));
-    if (!draining) maybe_dump_flight("queue_depth");
+    if (!draining) maybe_dump_flight();
     write_http_response(fd, http_status(reject),
                         error_body(reject, draining ? "daemon is draining"
                                                     : "admission queue is full"));
@@ -500,10 +440,6 @@ void Server::handle_run(int fd, const std::string& body) {
   registry_.gauge("serve/queue_depth").set(static_cast<double>(depth));
   flight.record(trace::FlightKind::kRequest, "serve/admitted", pending->trace_id,
                 pending->enq_ns, pending->enq_ns, static_cast<double>(depth));
-  if (static_cast<double>(depth) >=
-      opts_.queue_trigger_frac * static_cast<double>(queue_.capacity())) {
-    maybe_dump_flight("queue_depth");
-  }
 
   done.wait();
 
@@ -541,24 +477,24 @@ std::string Server::dump_flight(const char* reason) {
   registry_.counter("serve/flight_dumps_total").add();
   const std::uint64_t now = trace::now_ns();
   trace::FlightRecorder::global().record(trace::FlightKind::kMark, reason, 0, now, now);
-  slo_.export_to(registry_, now);
   const std::string body = flight_json(trace::FlightRecorder::global(), &registry_, reason);
   if (!opts_.flight_dump_path.empty()) write_flight_dump(opts_.flight_dump_path, body);
   return body;
 }
 
-void Server::maybe_dump_flight(const char* reason) {
-  // One automatic dump per 5 s: a sustained breach must not turn the
+void Server::maybe_dump_flight() {
+  // One automatic dump per 5 s: a sustained overload must not turn the
   // recorder into a disk-write loop on the request path.
   constexpr std::uint64_t kCooldownNs = 5'000'000'000ull;
   // now_ns() counts from process start, so 0 reliably means "never
   // dumped" — without that case a trigger in the first 5 s of life
-  // (exactly when a misconfigured daemon breaches) would be swallowed.
+  // (exactly when an undersized queue first overflows) would be
+  // swallowed.
   const std::uint64_t now = std::max<std::uint64_t>(trace::now_ns(), 1);
   std::uint64_t last = last_dump_ns_.load(std::memory_order_relaxed);
   if (last != 0 && now - last < kCooldownNs) return;
   if (!last_dump_ns_.compare_exchange_strong(last, now, std::memory_order_relaxed)) return;
-  dump_flight(reason);
+  dump_flight("queue_depth");
 }
 
 void Server::executor_loop() {
@@ -631,10 +567,8 @@ void Server::process_batch(const std::vector<std::shared_ptr<Pending>>& batch) {
     flight.record(trace::FlightKind::kRequest, failed ? "serve/failed" : "serve/done",
                   p.trace_id, run_end, run_end, total_s);
     latency.observe(total_s, p.trace_id);
-    slo_.observe(servable->name, total_s, run_end);
     p.done.set_value();
   }
-  if (slo_.max_burn_1m(run_end) >= opts_.slo_breach_burn) maybe_dump_flight("slo_burn");
 }
 
 // --- SIGTERM/SIGINT wiring ------------------------------------------------

@@ -25,6 +25,13 @@
 //  * reduce_add_ordered accumulates active lanes in lane order (the
 //    ookami::sve::reduce_add contract); reduce_add is the pairwise tree
 //    (t[i] += t[i + n/2], halving n until one lane is left).
+//  * The NaN rule: a NaN result must be NaN on every backend, but its
+//    sign and payload are unspecified; every other result is bit-exact.
+//    IEEE 754 does not fix which NaN an operation returns: x86 makes a
+//    negative default NaN where libm may return a positive one, and an
+//    add of two NaNs returns either operand, so a compiler may swap the
+//    operands of one copy of a sum and change the sign.  Checks compare
+//    with ookami::same_bits_or_both_nan (ookami/common/stats.hpp).
 
 #include "ookami/simd/arch.hpp"
 

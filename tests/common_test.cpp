@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -158,6 +159,25 @@ TEST(Stats, NanMinMatchesStdMinAndKeepsNaN) {
   }
   EXPECT_TRUE(std::signbit(nan_min(-0.0, 0.0)));
   EXPECT_FALSE(std::signbit(nan_min(0.0, -0.0)));
+}
+
+// The NaN rule: any two NaNs match (the default NaN x86 makes against a
+// positive quiet NaN), and nothing else is loosened.
+TEST(Stats, SameBitsOrBothNanOnlyLoosensNaN) {
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  const double neg_nan = std::bit_cast<double>(0xfff8000000000000ull);
+  const double payload_nan = std::bit_cast<double>(0x7ff0000000000001ull);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(same_bits_or_both_nan(qnan, neg_nan));
+  EXPECT_TRUE(same_bits_or_both_nan(payload_nan, qnan));
+  for (const double x : {0.0, 1.0, inf, -inf}) {
+    EXPECT_FALSE(same_bits_or_both_nan(qnan, x)) << x;
+    EXPECT_FALSE(same_bits_or_both_nan(x, neg_nan)) << x;
+    EXPECT_TRUE(same_bits_or_both_nan(x, x)) << x;
+  }
+  EXPECT_FALSE(same_bits_or_both_nan(0.0, -0.0));
+  EXPECT_FALSE(same_bits_or_both_nan(1.0, std::nextafter(1.0, 2.0)));
+  EXPECT_FALSE(same_bits_or_both_nan(inf, std::numeric_limits<double>::max()));
 }
 
 TEST(ThreadPool, StaticChunksCoverRange) {
@@ -600,6 +620,23 @@ TEST(Cli, UnknownNamesEveryOptionOutsideTheKnownSet) {
   EXPECT_EQ(cli.unknown({"help", "resolved", "checks"}), (std::vector<std::string>{"n", "tune"}));
   EXPECT_TRUE(cli.unknown({"n", "resolved", "tune"}).empty());
   EXPECT_EQ(cli.unknown({}), (std::vector<std::string>{"n", "resolved", "tune"}));
+}
+
+TEST(Cli, SwitchNeverTakesTheNextArgument) {
+  const char* argv[] = {"prog", "--strict", "a.json", "b.json", "--threshold", "5", "--json=on"};
+  // Not named a switch, --strict takes the first file as its value.
+  const Cli plain(7, const_cast<char**>(argv));
+  EXPECT_EQ(plain.get("strict", ""), "a.json");
+  EXPECT_EQ(plain.positional().size(), 1u);
+
+  const Cli cli(7, const_cast<char**>(argv), {"strict", "json"});
+  EXPECT_TRUE(cli.has("strict"));
+  EXPECT_EQ(cli.positional(), (std::vector<std::string>{"a.json", "b.json"}));
+  EXPECT_EQ(cli.get_int("threshold", 0), 5);
+  EXPECT_EQ(cli.get("json", ""), "on");
+  // Switches are known options; everything else must be listed.
+  EXPECT_TRUE(cli.unknown({"threshold"}).empty());
+  EXPECT_EQ(cli.unknown({}), (std::vector<std::string>{"threshold"}));
 }
 
 TEST(Aligned, VectorIsAligned) {

@@ -112,57 +112,5 @@ TEST(CostModel, RejectsNonPositiveRanks) {
   EXPECT_THROW(CostModel(hdr200(), openmpi_armpl(), 0), std::invalid_argument);
 }
 
-// ------------------------------------------------------ delay sampler
-
-TEST(DelaySampler, DeterministicInSeedAndIndex) {
-  const DelaySampler a(hdr200(), fujitsu_mpi(), 42);
-  const DelaySampler b(hdr200(), fujitsu_mpi(), 42);
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    EXPECT_DOUBLE_EQ(a.sample_seconds(4096, i), b.sample_seconds(4096, i));
-  }
-  // A different seed produces a different jitter stream.
-  const DelaySampler c(hdr200(), fujitsu_mpi(), 43);
-  int differing = 0;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    if (a.sample_seconds(4096, i) != c.sample_seconds(4096, i)) ++differing;
-  }
-  EXPECT_GT(differing, 60);
-}
-
-TEST(DelaySampler, JittersAroundTheCostModelMean) {
-  const DelaySampler s(hdr200(), openmpi_armpl(), 7);
-  const CostModel cm(hdr200(), openmpi_armpl(), 2);
-  EXPECT_DOUBLE_EQ(s.mean_seconds(65536), cm.message_seconds(65536));
-
-  double sum = 0.0;
-  const int kSamples = 4096;
-  for (int i = 0; i < kSamples; ++i) {
-    const double d = s.sample_seconds(65536, static_cast<std::uint64_t>(i));
-    EXPECT_GT(d, 0.0);  // multiplicative jitter can never go negative
-    sum += d;
-  }
-  // Lognormal-ish multiplicative jitter: the sample mean lands within a
-  // modest factor of the model mean (exp(sigma^2/2) bias ~ 5%).
-  const double mean = sum / kSamples;
-  EXPECT_GT(mean, 0.5 * s.mean_seconds(65536));
-  EXPECT_LT(mean, 2.0 * s.mean_seconds(65536));
-}
-
-TEST(DelaySampler, ZeroSigmaIsExactlyTheMean) {
-  const DelaySampler s(hdr200(), fujitsu_mpi(), 1, 0.0);
-  EXPECT_DOUBLE_EQ(s.sample_seconds(1024, 0), s.mean_seconds(1024));
-  EXPECT_DOUBLE_EQ(s.sample_seconds(1024, 99), s.mean_seconds(1024));
-}
-
-TEST(DelaySampler, NamedProfilesResolveAndUnknownThrows) {
-  const DelaySampler fj = delay_profile("hdr200-fujitsu", 5);
-  const DelaySampler om = delay_profile("hdr200-openmpi", 5);
-  // The Fujitsu stack is the slower pairing at every size (paper's
-  // Fig. 9 speculation encoded in the stack parameters).
-  EXPECT_GT(fj.mean_seconds(1 << 20), om.mean_seconds(1 << 20));
-  EXPECT_GT(fj.mean_seconds(0), om.mean_seconds(0));
-  EXPECT_THROW(delay_profile("hdr100-mpich", 5), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ookami::netsim

@@ -390,6 +390,8 @@ TEST(Server, HealthKernelsAndConfigEndpoints) {
   EXPECT_EQ(server.max_batch(), 4u);
   EXPECT_EQ(client.post("/config", "{\"batch\": 0}").status, 400);
   EXPECT_EQ(client.post("/config", "{oops").status, 400);
+  // batch is the only runtime setting: a body without it is refused.
+  EXPECT_EQ(client.post("/config", "{\"slo\": {\"target_ms\": 5}}").status, 400);
   EXPECT_EQ(server.max_batch(), 4u);
   server.drain();
   EXPECT_FALSE(server.running());
@@ -484,8 +486,14 @@ TEST(Server, QueueFullBurstGetsTypedOverloadedRejection) {
   // Tiny queue + slow kernel: a 12-request burst must split into some
   // completions and some *immediate* typed rejections — never a
   // blocked accept loop (the rejections come back while the first
-  // request is still running).
-  Server server(test_options(/*queue_depth=*/1, /*max_batch=*/1, /*threads=*/2));
+  // request is still running).  The first rejection also writes the
+  // automatic flight dump.
+  const std::string path = ::testing::TempDir() + "ookami_flight_queue_" +
+                           std::to_string(::getpid()) + ".json";
+  std::remove(path.c_str());
+  ServerOptions opts = test_options(/*queue_depth=*/1, /*max_batch=*/1, /*threads=*/2);
+  opts.flight_dump_path = path;
+  Server server(opts);
   server.start();
 
   std::atomic<int> ok{0};
@@ -511,7 +519,23 @@ TEST(Server, QueueFullBurstGetsTypedOverloadedRejection) {
   EXPECT_EQ(other, 0);
   EXPECT_GE(ok, 1);
   EXPECT_GE(overloaded, 1);
+
+  // The dump is written before the 429 that set it off is answered, so
+  // it is complete once every client has its reply.
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "no flight dump at " << path;
+  std::ostringstream body;
+  body << in.rdbuf();
+  const json::Value doc = json::Value::parse(body.str());
+  EXPECT_EQ(doc.string_or("schema", ""), "ookami-flight-1");
+  EXPECT_EQ(doc.string_or("reason", ""), "queue_depth");
+  bool saw_rejected = false;
+  for (const json::Value& e : doc.at("events").items()) {
+    if (e.string_or("name", "") == "serve/rejected") saw_rejected = true;
+  }
+  EXPECT_TRUE(saw_rejected);
   server.drain();
+  std::remove(path.c_str());
 }
 
 TEST(Server, DrainCompletesInFlightWorkThenStops) {
@@ -640,7 +664,7 @@ TEST(Server, HammerManyClientsMixedRequests) {
   EXPECT_EQ(static_cast<int>(server.requests_served()), ok.load());
 }
 
-// ------------------------------------------ tracing / flight / SLO
+// ------------------------------------------------ tracing / flight
 
 TEST(Server, HealthzReportsBuildPoolAndServeState) {
   Server server(test_options(/*queue_depth=*/16, /*max_batch=*/4, /*threads=*/2));
@@ -662,8 +686,6 @@ TEST(Server, HealthzReportsBuildPoolAndServeState) {
   const json::Value& serve = *doc.find("serve");
   EXPECT_EQ(serve.number_or("queue_capacity", 0.0), 16.0);
   EXPECT_EQ(serve.number_or("batch", 0.0), 4.0);
-  ASSERT_NE(serve.find("slo"), nullptr);
-  EXPECT_GT(serve.find("slo")->number_or("target_ms", 0.0), 0.0);
   server.drain();
 }
 
@@ -717,12 +739,10 @@ TEST(Server, MetricsExemplarsLinkBucketsToTraceIds) {
   ASSERT_EQ(trace.size(), 16u);
 
   // The latency histogram's occupied bucket carries this request's id
-  // as an OpenMetrics exemplar, and /metrics now exports SLO series.
+  // as an OpenMetrics exemplar.
   const HttpClient::Result m = client.get("/metrics");
   ASSERT_EQ(m.status, 200);
   EXPECT_NE(m.body.find("# {trace_id=\"" + trace + "\"}"), std::string::npos);
-  EXPECT_NE(m.body.find("ookami_serve_slo_vecmath_sqrt_burn_1m"), std::string::npos);
-  EXPECT_NE(m.body.find("ookami_serve_slo_vecmath_sqrt_total 1"), std::string::npos);
   server.drain();
 }
 
@@ -749,80 +769,6 @@ TEST(Server, DebugFlightEndpointDumpsRing) {
   ASSERT_NE(doc.find("counters"), nullptr);
   EXPECT_GE(doc.find("counters")->number_or("serve/flight_dumps_total", 0.0), 1.0);
   server.drain();
-}
-
-TEST(Server, ConfigSetsSloTargetsAndValidates) {
-  Server server(test_options());
-  server.start();
-  HttpClient client("127.0.0.1", server.port());
-
-  // Global default and a per-kernel override, applied together with a
-  // batch change (one body, both knobs).
-  const HttpClient::Result both =
-      client.post("/config", "{\"batch\": 2, \"slo\": {\"target_ms\": 5.0}}");
-  ASSERT_EQ(both.status, 200);
-  EXPECT_EQ(server.max_batch(), 2u);
-  EXPECT_NEAR(server.slo().target_for("*").target_s, 5.0e-3, 1e-12);
-
-  const HttpClient::Result per_kernel = client.post(
-      "/config",
-      "{\"slo\": {\"kernel\": \"hpcc.dgemm\", \"target_ms\": 250.0, \"objective\": 0.999}}");
-  ASSERT_EQ(per_kernel.status, 200);
-  EXPECT_NEAR(server.slo().target_for("hpcc.dgemm").target_s, 0.250, 1e-12);
-  EXPECT_NEAR(server.slo().target_for("hpcc.dgemm").objective, 0.999, 1e-12);
-  // Kernels without an override still get the default.
-  EXPECT_NEAR(server.slo().target_for("vecmath.exp").target_s, 5.0e-3, 1e-12);
-
-  // Validation: missing/zero target, out-of-range objective.
-  EXPECT_EQ(client.post("/config", "{\"slo\": {}}").status, 400);
-  EXPECT_EQ(client.post("/config", "{\"slo\": {\"target_ms\": 0}}").status, 400);
-  EXPECT_EQ(client.post("/config", "{\"slo\": {\"target_ms\": 5, \"objective\": 1.5}}").status,
-            400);
-  // Nothing was clobbered by the rejected bodies.
-  EXPECT_NEAR(server.slo().target_for("*").target_s, 5.0e-3, 1e-12);
-  server.drain();
-}
-
-TEST(Server, SloBreachWritesFlightDumpFile) {
-  // An impossible SLO (1 ns) makes every request an error; with
-  // objective 0.99 the 1m burn rate is ~100, far past the 14.4 trigger,
-  // so the first completed batch must write the flight dump file.
-  const std::string path =
-      "/tmp/ookami_flight_breach_" + std::to_string(::getpid()) + ".json";
-  std::remove(path.c_str());
-  ServerOptions opts = test_options();
-  opts.slo_target_ms = 1e-6;
-  opts.flight_dump_path = path;
-  Server server(opts);
-  server.start();
-  HttpClient client("127.0.0.1", server.port());
-  const RunReply r = run_request(client, "vecmath.exp", 4096, 3);
-  ASSERT_EQ(r.status, 200);
-  const std::string trace = r.doc.string_or("trace", "");
-
-  // The dump happens on the executor thread right after the batch
-  // completes; give it a moment to hit the filesystem.
-  std::string body;
-  for (int i = 0; i < 200 && body.empty(); ++i) {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream os;
-      os << in.rdbuf();
-      body = os.str();
-    }
-    if (body.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_FALSE(body.empty()) << "no flight dump at " << path;
-  const json::Value doc = json::Value::parse(body);
-  EXPECT_EQ(doc.string_or("schema", ""), "ookami-flight-1");
-  EXPECT_EQ(doc.string_or("reason", ""), "slo_burn");
-  bool saw_mine = false;
-  for (const json::Value& e : doc.find("events")->items()) {
-    if (e.string_or("req", "") == trace) saw_mine = true;
-  }
-  EXPECT_TRUE(saw_mine);
-  server.drain();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,30 +5,25 @@
 // called from simd_test.cpp after a runtime CPU check.  Every op is
 // checked against one reference: the ookami::sve instruction model
 // where the interpreter has the op, else the per-lane libm expression
-// the op contract in batch.hpp names.  The gtest EXPECT/ASSERT macros
-// work from any TU linked into the test binary.
+// the op contract in batch.hpp names, and results compare under that
+// contract's NaN rule (same_bits_or_both_nan).  The gtest EXPECT/ASSERT
+// macros work from any TU linked into the test binary.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "ookami/common/rng.hpp"
+#include "ookami/common/stats.hpp"
 #include "ookami/simd/sve.hpp"
 #include "ookami/sve/fexpa.hpp"
 #include "ookami/sve/sve.hpp"
 
 namespace ookami::simd::testing {
-
-inline std::uint64_t bits_of(double x) {
-  std::uint64_t u;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
-}
 
 /// Inputs covering the special-value corners every op must preserve.
 inline std::vector<double> special_inputs() {
@@ -69,8 +64,9 @@ void expect_batch_matches_scalar() {
     auto same = [&](const V& got, const sve::Vec& want, const char* what) {
       const auto g = got.to_array();
       for (int l = 0; l < 8; ++l) {
-        EXPECT_EQ(bits_of(g[static_cast<std::size_t>(l)]), bits_of(want[l]))
-            << what << " lane " << l << " base " << base;
+        EXPECT_TRUE(same_bits_or_both_nan(g[static_cast<std::size_t>(l)], want[l]))
+            << what << " lane " << l << " base " << base << ": got "
+            << g[static_cast<std::size_t>(l)] << " want " << want[l];
       }
     };
     // The per-lane expression for ops the interpreter lacks.
@@ -101,8 +97,8 @@ void expect_batch_matches_scalar() {
     for (std::size_t n = 8; n > 1; n /= 2) {
       for (std::size_t i = 0; i < n / 2; ++i) tree[i] += tree[i + n / 2];
     }
-    EXPECT_EQ(bits_of(reduce_add(a)), bits_of(tree[0])) << "reduce_add base " << base;
-    EXPECT_EQ(bits_of(reduce_add_ordered(pg, a)), bits_of(sve::reduce_add(all, as)))
+    EXPECT_TRUE(same_bits_or_both_nan(reduce_add(a), tree[0])) << "reduce_add base " << base;
+    EXPECT_TRUE(same_bits_or_both_nan(reduce_add_ordered(pg, a), sve::reduce_add(all, as)))
         << "reduce_add_ordered base " << base;
   }
 }
@@ -205,7 +201,7 @@ void expect_fexpa_bit_identical() {
     const sve::Vec ref = sve::fexpa(u);
     const auto got = SV::fexpa(batch<std::int64_t, 8, A>::from_array(ui)).to_array();
     for (int l = 0; l < 8; ++l) {
-      ASSERT_EQ(bits_of(got[static_cast<std::size_t>(l)]), bits_of(ref[l]))
+      ASSERT_TRUE(same_bits_or_both_nan(got[static_cast<std::size_t>(l)], ref[l]))
           << "fexpa pattern " << std::hex << u[l];
     }
   }
@@ -227,9 +223,9 @@ void expect_estimates_bit_identical() {
     const sve::Vec r2 = sve::frsqrte(v);
     const auto g2 = SV::frsqrte(bv).to_array();
     for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(bits_of(g1[static_cast<std::size_t>(l)]), bits_of(r1[l]))
+      EXPECT_TRUE(same_bits_or_both_nan(g1[static_cast<std::size_t>(l)], r1[l]))
           << "frecpe(" << v[l] << ")";
-      EXPECT_EQ(bits_of(g2[static_cast<std::size_t>(l)]), bits_of(r2[l]))
+      EXPECT_TRUE(same_bits_or_both_nan(g2[static_cast<std::size_t>(l)], r2[l]))
           << "frsqrte(" << v[l] << ")";
     }
   }

@@ -28,9 +28,8 @@
 #include "ookami/harness/diff.hpp"
 
 int main(int argc, char** argv) {
-  const ookami::Cli cli(argc, argv);
-  if (const auto bad = cli.unknown({"help", "threshold", "metric", "strict", "json"});
-      !bad.empty()) {
+  const ookami::Cli cli(argc, argv, {"help", "strict", "json"});
+  if (const auto bad = cli.unknown({"threshold", "metric"}); !bad.empty()) {
     std::fprintf(stderr, "bench_diff: unknown option --%s (see --help)\n", bad.front().c_str());
     return 2;
   }

@@ -44,9 +44,9 @@ const void* const kKernelLinkAnchors[] = {
 };
 
 int main(int argc, char** argv) {
-  const ookami::Cli cli(argc, argv);
+  const ookami::Cli cli(argc, argv, {"help", "resolved", "checks"});
   namespace dispatch = ookami::dispatch;
-  if (const auto bad = cli.unknown({"help", "resolved", "checks"}); !bad.empty()) {
+  if (const auto bad = cli.unknown({}); !bad.empty()) {
     std::fprintf(stderr, "%s: unknown option --%s (see --help)\n", cli.program().c_str(),
                  bad.front().c_str());
     return 2;

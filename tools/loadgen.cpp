@@ -3,8 +3,8 @@
 //   loadgen --port P [--host 127.0.0.1] [--arrivals poisson|bursty]
 //           [--rate 200] [--requests 400] [--senders 4] [--seed 42]
 //           [--kernel vecmath.exp] [--n 65536]
-//           [--compare-batch "1,16"] [--netsim hdr200-fujitsu]
-//           [--sample-log FILE] [harness flags: --out-dir ...]
+//           [--compare-batch "1,16"] [--sample-log FILE]
+//           [harness flags: --out-dir ...]
 //
 // Replays a seeded arrival trace against a running daemon and archives
 // the observed latency distribution as an ookami-bench-1 result
@@ -23,10 +23,8 @@
 // daemon, setting the coalescing limit via POST /config between
 // phases — the A/B evidence for the batching-under-saturation claim.
 //
-// --netsim <profile> adds a deterministic simulated fabric transit
-// (netsim::DelaySampler, counter-indexed by request) to each measured
-// latency, for studying how the serving distribution composes with a
-// cluster interconnect.
+// An unknown flag, a stray argument or a malformed --compare-batch
+// exits 2 before any connection is made.
 //
 // Every /run response carries the daemon's per-request trace id; the
 // slowest requests are printed with their ids so a tail sample can be
@@ -37,6 +35,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -47,7 +46,6 @@
 #include "ookami/common/rng.hpp"
 #include "ookami/common/stats.hpp"
 #include "ookami/harness/harness.hpp"
-#include "ookami/netsim/netsim.hpp"
 #include "ookami/report/report.hpp"
 #include "ookami/serve/http.hpp"
 #include "ookami/serve/protocol.hpp"
@@ -112,7 +110,6 @@ struct Config {
   std::uint64_t seed = 42;
   std::string kernel = "vecmath.exp";
   std::size_t n = 65536;
-  const netsim::DelaySampler* netsim = nullptr;
 };
 
 PhaseResult replay(const Config& cfg, const std::vector<double>& arrivals) {
@@ -144,10 +141,7 @@ PhaseResult replay(const Config& cfg, const std::vector<double>& arrivals) {
           const serve::HttpClient::Result r = client.post("/run", body.dump(0));
           const auto done = std::chrono::steady_clock::now();
           if (r.status == 200) {
-            double l = std::chrono::duration<double>(done - scheduled).count();
-            if (cfg.netsim != nullptr) {
-              l += cfg.netsim->sample_seconds(body.dump(0).size() + r.body.size(), i);
-            }
+            const double l = std::chrono::duration<double>(done - scheduled).count();
             lat[s].push_back(l);
             ok.fetch_add(1, std::memory_order_relaxed);
             const json::Value doc = json::Value::parse(r.body);
@@ -208,13 +202,20 @@ void record_phase(harness::Run& run, const std::string& prefix, const PhaseResul
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, harness::Options::switches());
+  std::vector<std::string> known = harness::Options::options();
+  known.insert(known.end(), {"host", "port", "arrivals", "rate", "requests", "senders", "seed",
+                             "kernel", "n", "compare-batch", "sample-log"});
+  if (const auto bad = cli.unknown(known); !bad.empty()) {
+    std::fprintf(stderr, "loadgen: unknown option --%s (see --help)\n", bad.front().c_str());
+    return 2;
+  }
   if (cli.has("help")) {
     std::printf(
         "usage: loadgen --port P [--host H] [--arrivals poisson|bursty] [--rate R]\n"
         "               [--requests N] [--senders K] [--seed S] [--kernel NAME]\n"
-        "               [--n SIZE] [--compare-batch \"1,16\"] [--netsim PROFILE]\n"
-        "               [--sample-log FILE] [harness flags]\n%s",
+        "               [--n SIZE] [--compare-batch \"1,16\"] [--sample-log FILE]\n"
+        "               [harness flags]\n%s",
         harness::Options::usage().c_str());
     return 0;
   }
@@ -237,25 +238,36 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: --arrivals must be poisson or bursty\n");
     return 2;
   }
-  // --trace is the harness's tracing switch; an arrival shape after it
-  // is a command line from before --arrivals, refused rather than
+  // loadgen takes no positional argument.  --trace is the harness's
+  // tracing switch, so `--trace poisson` (a command line from before
+  // --arrivals) leaves the shape here and is refused rather than
   // silently replayed as a traced Poisson run.
-  if (const std::string shape = cli.get("trace", ""); shape == "poisson" || shape == "bursty") {
-    std::fprintf(stderr, "loadgen: the arrival shape is --arrivals %s (--trace turns on tracing)\n",
-                 shape.c_str());
+  if (!cli.positional().empty()) {
+    std::fprintf(stderr, "loadgen: unexpected argument '%s' (the arrival shape is --arrivals)\n",
+                 cli.positional().front().c_str());
     return 2;
   }
   if (cfg.senders == 0) cfg.senders = 1;
 
-  std::unique_ptr<netsim::DelaySampler> sampler;
-  if (const std::string profile = cli.get("netsim", ""); !profile.empty()) {
-    try {
-      sampler = std::make_unique<netsim::DelaySampler>(netsim::delay_profile(profile, cfg.seed));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "loadgen: %s\n", e.what());
-      return 2;
+  // Batch limits to sweep: "--compare-batch A,B" replays the trace once
+  // per limit via POST /config; default is one phase at the daemon's
+  // current setting.
+  std::vector<long> batches;
+  if (const std::string spec = cli.get("compare-batch", ""); !spec.empty()) {
+    std::size_t pos = 0;
+    while (pos <= spec.size()) {
+      std::size_t comma = spec.find(',', pos);
+      if (comma == std::string::npos) comma = spec.size();
+      const std::string item = spec.substr(pos, comma - pos);
+      char* end = nullptr;
+      const long b = std::strtol(item.c_str(), &end, 10);
+      if (item.empty() || *end != '\0' || b < 1) {
+        std::fprintf(stderr, "loadgen: --compare-batch takes batch limits >= 1 like \"1,16\"\n");
+        return 2;
+      }
+      batches.push_back(b);
+      pos = comma + 1;
     }
-    cfg.netsim = sampler.get();
   }
 
   harness::Run run("serve_loadgen", harness::Options::from_cli(cli));
@@ -266,24 +278,9 @@ int main(int argc, char** argv) {
   run.note("kernel", cfg.kernel);
   run.note("n", std::to_string(cfg.n));
   run.note("seed", std::to_string(cfg.seed));
-  if (cfg.netsim != nullptr) run.note("netsim", cli.get("netsim", ""));
 
   const std::vector<double> arrivals =
       make_arrivals(cfg.arrivals, cfg.requests, cfg.rate, cfg.seed);
-
-  // Batch limits to sweep: "--compare-batch A,B" replays the trace once
-  // per limit via POST /config; default is one phase at the daemon's
-  // current setting.
-  std::vector<long> batches;
-  if (const std::string spec = cli.get("compare-batch", ""); !spec.empty()) {
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      std::size_t comma = spec.find(',', pos);
-      if (comma == std::string::npos) comma = spec.size();
-      batches.push_back(std::stol(spec.substr(pos, comma - pos)));
-      pos = comma + 1;
-    }
-  }
 
   serve::HttpClient control(cfg.host, cfg.port);
   std::vector<std::pair<std::string, PhaseResult>> phases;

@@ -97,8 +97,8 @@ void print_regions(const Value& profile, std::size_t top) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ookami::Cli cli(argc, argv);
-  if (const auto bad = cli.unknown({"help", "top"}); !bad.empty()) {
+  const ookami::Cli cli(argc, argv, {"help"});
+  if (const auto bad = cli.unknown({"top"}); !bad.empty()) {
     std::fprintf(stderr, "metrics_report: unknown option --%s (see --help)\n",
                  bad.front().c_str());
     return 2;

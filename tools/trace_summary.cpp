@@ -20,8 +20,8 @@
 // prints the hop-by-hop longest dependency chain of each task-graph
 // run; a trace with no graph spans exits 2.
 //
-// An ookami-flight-1 dump (GET /debug/flight, SIGQUIT, or an automatic
-// SLO/queue trigger of ookamid) is the daemon's recent window: the tool
+// An ookami-flight-1 dump (GET /debug/flight, SIGQUIT, or ookamid's
+// automatic full-queue trigger) is the daemon's recent window: the tool
 // prints the dump header, per-kind event counts, the N slowest requests
 // by summed span time (--top, default 5) and the counter/gauge
 // snapshot.  --req HEX prints every event of one trace id instead.
@@ -159,9 +159,8 @@ int flight_digest(const json::Value& doc, const std::string& req, std::size_t to
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ookami::Cli cli(argc, argv);
-  if (const auto bad = cli.unknown({"help", "top", "machine", "region", "critical-path", "req"});
-      !bad.empty()) {
+  const ookami::Cli cli(argc, argv, {"help", "critical-path"});
+  if (const auto bad = cli.unknown({"top", "machine", "region", "req"}); !bad.empty()) {
     std::fprintf(stderr, "trace_summary: unknown option --%s (see --help)\n",
                  bad.front().c_str());
     return 2;
